@@ -4,7 +4,8 @@
 
 use crate::{render_series, Effort};
 use wcs_sim::experiment::{
-    exposed_vs_rate, plan_ensemble, run_planned, summarize, ExperimentConfig, ExperimentPoint,
+    base_rate_config, exposed_vs_rate_from, plan_ensemble, run_planned, summarize,
+    ExperimentConfig, ExperimentPoint,
 };
 use wcs_sim::pathology::{
     chain_collision_scenario, rate_anomaly_scenario, slot_collision_scenario,
@@ -107,7 +108,21 @@ pub fn exposed_vs_rate_report(effort: Effort) -> String {
     let bed = Testbed::generate(TestbedConfig::default());
     let links = bed.candidate_links(0.94, 1.0);
     let cfg = experiment_config(effort);
-    let r = exposed_vs_rate(&bed, &links, effort.ensemble_points() / 2, &cfg);
+    let base_cfg = base_rate_config(&cfg);
+    // Plan both ensembles of the serial `exposed_vs_rate`, then fan all
+    // 2·n protocol runs out on the engine as one batch.
+    let n_points = effort.ensemble_points() / 2;
+    let base = plan_ensemble(&links, n_points, &base_cfg);
+    let full = plan_ensemble(&links, n_points, &cfg);
+    let tasks: Vec<_> = base
+        .iter()
+        .map(|p| (p, &base_cfg))
+        .chain(full.iter().map(|p| (p, &cfg)))
+        .collect();
+    let points: Vec<ExperimentPoint> =
+        crate::engine().map(&tasks, |&(p, c)| run_planned(&bed, p, c));
+    let (base_points, full_points) = points.split_at(base.len());
+    let r = exposed_vs_rate_from(base_points, full_points);
     let adapt_gain = r.adapted_cs_pps / r.base_rate_cs_pps;
     let exposed_gain = r.base_rate_exposed_pps / r.base_rate_cs_pps;
     let combined_gain = r.adapted_exposed_pps / r.adapted_cs_pps;

@@ -178,10 +178,7 @@ pub fn run_pair_experiment_with(
     seed: u64,
     rate_strategy: RateStrategy,
 ) -> ExperimentPoint {
-    let sender_rssi_db = {
-        let mut w = testbed.world();
-        w.rssi_db(pairs.link1.src, pairs.link2.src)
-    };
+    let sender_rssi_db = testbed.world().rssi_db(pairs.link1.src, pairs.link2.src);
 
     // One run: returns per-sender delivered pkt/s under the given rate
     // policy (each flow gets its own controller instance).
@@ -381,33 +378,48 @@ pub struct ExposedVsRate {
     pub adapted_exposed_pps: f64,
 }
 
-/// Run the §5 comparison over an ensemble of short-range points.
+/// The base-rate half of the §5 comparison: `cfg` pinned to 6 Mbps.
+/// Its ensemble plans the same pairs as `cfg`'s (planning reads only
+/// the seed), so the two halves compare like with like.
+pub fn base_rate_config(cfg: &ExperimentConfig) -> ExperimentConfig {
+    ExperimentConfig {
+        rates_mbps: vec![6.0],
+        ..cfg.clone()
+    }
+}
+
+/// Run the §5 comparison over an ensemble of short-range points,
+/// serially: a thin wrapper running the base-rate ensemble (under
+/// [`base_rate_config`]) and the full-rate ensemble with
+/// [`run_ensemble`], then aggregating with [`exposed_vs_rate_from`].
+/// `wcs-bench` fans the same planned pairs of both ensembles out on the
+/// engine and produces an identical result.
 pub fn exposed_vs_rate(
     testbed: &Testbed,
     links: &[CandidateLink],
     n_points: usize,
     cfg: &ExperimentConfig,
 ) -> ExposedVsRate {
-    let base_cfg = ExperimentConfig {
-        rates_mbps: vec![6.0],
-        ..cfg.clone()
-    };
-    let base_points = run_ensemble(testbed, links, n_points, &base_cfg);
-    let full_points = run_ensemble(testbed, links, n_points, cfg);
+    let base = run_ensemble(testbed, links, n_points, &base_rate_config(cfg));
+    let full = run_ensemble(testbed, links, n_points, cfg);
+    exposed_vs_rate_from(&base, &full)
+}
+
+/// Aggregate the §5 comparison from its two ensembles: `base_points`
+/// run under [`base_rate_config`], `full_points` under the full rate
+/// sweep.
+pub fn exposed_vs_rate_from(
+    base_points: &[ExperimentPoint],
+    full_points: &[ExperimentPoint],
+) -> ExposedVsRate {
     let mean = |f: &dyn Fn(&ExperimentPoint) -> f64, pts: &[ExperimentPoint]| {
         pts.iter().map(f).sum::<f64>() / pts.len() as f64
     };
     ExposedVsRate {
-        base_rate_cs_pps: mean(&|p| p.carrier_sense_pps, &base_points),
-        adapted_cs_pps: mean(&|p| p.carrier_sense_pps, &full_points),
-        base_rate_exposed_pps: mean(
-            &|p| p.carrier_sense_pps.max(p.concurrency_pps),
-            &base_points,
-        ),
-        adapted_exposed_pps: mean(
-            &|p| p.carrier_sense_pps.max(p.concurrency_pps),
-            &full_points,
-        ),
+        base_rate_cs_pps: mean(&|p| p.carrier_sense_pps, base_points),
+        adapted_cs_pps: mean(&|p| p.carrier_sense_pps, full_points),
+        base_rate_exposed_pps: mean(&|p| p.carrier_sense_pps.max(p.concurrency_pps), base_points),
+        adapted_exposed_pps: mean(&|p| p.carrier_sense_pps.max(p.concurrency_pps), full_points),
     }
 }
 
@@ -431,7 +443,7 @@ mod tests {
         let t = Testbed::generate(TestbedConfig::default());
         let links = t.candidate_links(0.94, 1.0);
         // Pick two links whose senders are close (multiplexing regime).
-        let mut w = t.world();
+        let w = t.world();
         let mut best: Option<(PairExperiment, f64)> = None;
         for &l1 in &links {
             for &l2 in &links {
@@ -484,7 +496,7 @@ mod tests {
     fn far_senders_point_prefers_concurrency() {
         let t = Testbed::generate(TestbedConfig::default());
         let links = t.candidate_links(0.94, 1.0);
-        let mut w = t.world();
+        let w = t.world();
         let mut best: Option<(PairExperiment, f64)> = None;
         for &l1 in &links {
             for &l2 in &links {

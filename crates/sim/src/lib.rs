@@ -41,6 +41,7 @@ pub mod pathology;
 pub mod phy;
 pub mod rate;
 pub mod sim;
+mod slab;
 pub mod testbed;
 pub mod time;
 pub mod timing;

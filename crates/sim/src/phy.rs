@@ -11,11 +11,11 @@
 //! during its airtime meets the bitrate's SNR requirement (optionally a
 //! logistic roll-off instead of a hard threshold).
 
+use crate::slab::IdSlab;
 use crate::time::SimTime;
 use crate::world::{NodeId, World};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use wcs_capacity::rates::Bitrate;
 
 /// What a frame is, MAC-wise.
@@ -97,15 +97,14 @@ impl Default for PhyConfig {
     }
 }
 
-/// An in-flight transmission.
+/// An in-flight transmission. Its received power at every node is the
+/// sender's row of the world's gain table.
 #[derive(Debug, Clone)]
 pub struct ActiveTx {
     /// Transmitting node.
     pub sender: NodeId,
     /// The frame.
     pub frame: Frame,
-    /// Cached received power at every node (index = NodeId).
-    pub rx_power: Vec<f64>,
     /// Scheduled end time.
     pub end: SimTime,
 }
@@ -139,10 +138,12 @@ pub struct DecodeResult {
 pub struct Medium {
     cfg: PhyConfig,
     noise: f64,
+    /// Linear preamble-lock margin, `10^(preamble_snr_db/10)`.
+    lock_margin: f64,
     /// Sum of rx power at each node from all active transmissions
     /// (the node's own transmission contributes nothing to itself).
     ambient: Vec<f64>,
-    active: HashMap<u64, ActiveTx>,
+    active: IdSlab<ActiveTx>,
     rx: Vec<Option<ActiveRx>>,
     /// Nodes currently transmitting (cannot lock).
     transmitting: Vec<bool>,
@@ -154,8 +155,9 @@ impl Medium {
         Medium {
             cfg,
             noise,
+            lock_margin: 10f64.powf(cfg.preamble_snr_db / 10.0),
             ambient: vec![0.0; n],
-            active: HashMap::new(),
+            active: IdSlab::default(),
             rx: vec![None; n],
             transmitting: vec![false; n],
         }
@@ -183,110 +185,93 @@ impl Medium {
 
     /// Begin transmission `tx_id` of `frame` from `sender`, ending at
     /// `end`. Updates ambient powers, degrades SINR of every ongoing
-    /// reception, and attempts preamble locks at idle nodes.
+    /// reception, and attempts preamble locks at idle nodes. Ids must
+    /// increase from one transmission to the next.
     ///
     /// If the sender was itself locked on a frame, that reception is
     /// abandoned (half-duplex radio).
-    #[allow(clippy::needless_range_loop)] // loops index several parallel per-node arrays
     pub fn begin_tx(
         &mut self,
-        world: &mut World,
+        world: &World,
         tx_id: u64,
         sender: NodeId,
         frame: Frame,
         end: SimTime,
     ) {
-        assert!(
-            !self.transmitting[sender.0 as usize],
-            "{sender} already transmitting"
-        );
-        let n = self.ambient.len();
-        let mut rx_power = vec![0.0; n];
-        for i in 0..n {
-            let node = NodeId(i as u32);
-            if node == sender {
-                continue;
-            }
-            rx_power[i] = world.rx_power(sender, node);
-        }
-
+        let s = sender.0 as usize;
+        assert!(!self.transmitting[s], "{sender} already transmitting");
         // Half-duplex: a sender abandons any reception in progress.
-        self.rx[sender.0 as usize] = None;
-        self.transmitting[sender.0 as usize] = true;
+        self.rx[s] = None;
+        self.transmitting[s] = true;
 
-        // Raise ambient power and degrade ongoing receptions.
-        for i in 0..n {
-            if NodeId(i as u32) == sender {
+        let tx_power = world.config().tx_power;
+        let gain = world.gain_row(sender);
+        for (i, &g) in gain.iter().enumerate() {
+            if i == s {
                 continue;
             }
-            self.ambient[i] += rx_power[i];
-            if let Some(arx) = self.rx[i].as_mut() {
-                // Interference for the locked frame = ambient − its own signal.
-                let interf = (self.ambient[i] - arx.signal).max(0.0);
-                let sinr = arx.signal / (self.noise + interf);
-                if sinr < arx.min_sinr {
-                    arx.min_sinr = sinr;
+            let signal = tx_power * g;
+            self.ambient[i] += signal;
+            match self.rx[i].as_mut() {
+                // Degrade the ongoing reception: interference for the
+                // locked frame = ambient − its own signal.
+                Some(arx) => {
+                    let interf = (self.ambient[i] - arx.signal).max(0.0);
+                    let sinr = arx.signal / (self.noise + interf);
+                    if sinr < arx.min_sinr {
+                        arx.min_sinr = sinr;
+                    }
                 }
+                // Preamble lock attempt at an idle, non-transmitting node.
+                None if !self.transmitting[i] => {
+                    let interf = (self.ambient[i] - signal).max(0.0);
+                    if signal >= self.lock_margin * (self.noise + interf) {
+                        self.rx[i] = Some(ActiveRx {
+                            tx_id,
+                            signal,
+                            min_sinr: signal / (self.noise + interf),
+                        });
+                    }
+                }
+                None => {}
             }
         }
-
-        // Preamble lock attempts at idle, non-transmitting nodes.
-        let lock_margin = 10f64.powf(self.cfg.preamble_snr_db / 10.0);
-        for i in 0..n {
-            let node = NodeId(i as u32);
-            if node == sender || self.transmitting[i] || self.rx[i].is_some() {
-                continue;
-            }
-            let signal = rx_power[i];
-            let interf = (self.ambient[i] - signal).max(0.0);
-            if signal >= lock_margin * (self.noise + interf) {
-                self.rx[i] = Some(ActiveRx {
-                    tx_id,
-                    signal,
-                    min_sinr: signal / (self.noise + interf),
-                });
-            }
-        }
-
-        self.active.insert(
-            tx_id,
-            ActiveTx {
-                sender,
-                frame,
-                rx_power,
-                end,
-            },
-        );
+        self.active.insert(tx_id, ActiveTx { sender, frame, end });
     }
 
-    /// End transmission `tx_id`; returns the decode outcomes of every
-    /// node that was locked on it. `rng` drives the sigmoid reception
-    /// model (unused under `HardThreshold`).
-    pub fn end_tx<R: Rng + ?Sized>(&mut self, tx_id: u64, rng: &mut R) -> Vec<DecodeResult> {
-        let tx = self.active.remove(&tx_id).expect("unknown tx_id");
-        let n = self.ambient.len();
-        // Drop ambient contributions.
-        for i in 0..n {
-            if NodeId(i as u32) == tx.sender {
+    /// End transmission `tx_id` (begun over the same `world`), replacing
+    /// the contents of `out` with the decode outcome of every node that
+    /// was locked on it, in node order. `rng` drives the sigmoid
+    /// reception model (unused under `HardThreshold`).
+    pub fn end_tx<R: Rng + ?Sized>(
+        &mut self,
+        world: &World,
+        tx_id: u64,
+        rng: &mut R,
+        out: &mut Vec<DecodeResult>,
+    ) {
+        out.clear();
+        let tx = self.active.remove(tx_id).expect("unknown tx_id");
+        let s = tx.sender.0 as usize;
+        self.transmitting[s] = false;
+        let tx_power = world.config().tx_power;
+        let gain = world.gain_row(tx.sender);
+        for (i, &g) in gain.iter().enumerate() {
+            if i == s {
                 continue;
             }
-            self.ambient[i] -= tx.rx_power[i];
+            // Drop this frame's ambient contribution.
+            self.ambient[i] -= tx_power * g;
             if self.ambient[i] < 0.0 {
                 // Exact cancellation can leave −0.0 or tiny negatives from
                 // FP non-associativity when many txs overlap; clamp.
                 self.ambient[i] = 0.0;
             }
-        }
-        self.transmitting[tx.sender.0 as usize] = false;
-
-        // Resolve receptions locked on this frame.
-        let mut out = Vec::new();
-        for i in 0..n {
-            let locked = matches!(self.rx[i], Some(arx) if arx.tx_id == tx_id);
-            if !locked {
+            // Resolve a reception locked on this frame.
+            let Some(arx) = self.rx[i].filter(|arx| arx.tx_id == tx_id) else {
                 continue;
-            }
-            let arx = self.rx[i].take().unwrap();
+            };
+            self.rx[i] = None;
             let min_sinr_db = 10.0 * arx.min_sinr.log10();
             let success = match self.cfg.reception {
                 ReceptionModel::HardThreshold => min_sinr_db >= tx.frame.rate.min_snr_db,
@@ -304,12 +289,11 @@ impl Medium {
                 min_sinr_db,
             });
         }
-        out
     }
 
     /// The active transmission record, if in flight.
     pub fn active_tx(&self, tx_id: u64) -> Option<&ActiveTx> {
-        self.active.get(&tx_id)
+        self.active.get(tx_id)
     }
 }
 
@@ -317,6 +301,7 @@ impl Medium {
 mod tests {
     use super::*;
     use crate::world::ChannelConfig;
+    use rand::rngs::StdRng;
     use wcs_capacity::rates::RATES_11A;
     use wcs_propagation::geometry::Point2;
     use wcs_stats::rng::seeded_rng;
@@ -327,6 +312,12 @@ mod tests {
             ChannelConfig::paper_analysis().without_shadowing(),
             1,
         )
+    }
+
+    fn end(m: &mut Medium, w: &World, tx_id: u64, rng: &mut StdRng) -> Vec<DecodeResult> {
+        let mut out = vec![];
+        m.end_tx(w, tx_id, rng, &mut out);
+        out
     }
 
     fn data(dst: u32, rate_idx: usize) -> Frame {
@@ -344,13 +335,13 @@ mod tests {
     #[test]
     fn clean_frame_decodes() {
         // Sender at origin, receiver 20 away: 26 dB SNR, decodes 54 Mbps.
-        let mut w = world(vec![Point2::new(0.0, 0.0), Point2::new(20.0, 0.0)]);
+        let w = world(vec![Point2::new(0.0, 0.0), Point2::new(20.0, 0.0)]);
         let mut m = Medium::new(2, w.config().noise, PhyConfig::default());
         let mut rng = seeded_rng(1);
-        m.begin_tx(&mut w, 0, NodeId(0), data(1, 7), SimTime(100));
+        m.begin_tx(&w, 0, NodeId(0), data(1, 7), SimTime(100));
         assert!(m.is_receiving(NodeId(1)));
         assert!(m.is_transmitting(NodeId(0)));
-        let res = m.end_tx(0, &mut rng);
+        let res = end(&mut m, &w, 0, &mut rng);
         assert_eq!(res.len(), 1);
         assert!(res[0].success);
         assert!((res[0].min_sinr_db - 26.0).abs() < 0.5);
@@ -361,13 +352,13 @@ mod tests {
     #[test]
     fn weak_frame_fails_at_high_rate_but_not_base() {
         // Receiver at 90 → SNR ≈ 6.4 dB: 6 Mbps OK, 24 Mbps fails.
-        let mut w = world(vec![Point2::new(0.0, 0.0), Point2::new(90.0, 0.0)]);
+        let w = world(vec![Point2::new(0.0, 0.0), Point2::new(90.0, 0.0)]);
         let mut rng = seeded_rng(2);
         let mut m = Medium::new(2, w.config().noise, PhyConfig::default());
-        m.begin_tx(&mut w, 0, NodeId(0), data(1, 0), SimTime(100));
-        assert!(m.end_tx(0, &mut rng)[0].success);
-        m.begin_tx(&mut w, 1, NodeId(0), data(1, 4), SimTime(200));
-        assert!(!m.end_tx(1, &mut rng)[0].success);
+        m.begin_tx(&w, 0, NodeId(0), data(1, 0), SimTime(100));
+        assert!(end(&mut m, &w, 0, &mut rng)[0].success);
+        m.begin_tx(&w, 1, NodeId(0), data(1, 4), SimTime(200));
+        assert!(!end(&mut m, &w, 1, &mut rng)[0].success);
     }
 
     #[test]
@@ -375,16 +366,16 @@ mod tests {
         // Node 0 → node 1 at distance 20 (26 dB); node 2 sits 25 from the
         // receiver: its interference drops SINR to ≈ 10·log10(20⁻³/25⁻³)
         // ≈ 2.9 dB < even the base-rate requirement.
-        let mut w = world(vec![
+        let w = world(vec![
             Point2::new(0.0, 0.0),
             Point2::new(20.0, 0.0),
             Point2::new(45.0, 0.0),
         ]);
         let mut rng = seeded_rng(3);
         let mut m = Medium::new(3, w.config().noise, PhyConfig::default());
-        m.begin_tx(&mut w, 0, NodeId(0), data(1, 0), SimTime(1000));
-        m.begin_tx(&mut w, 1, NodeId(2), data(1, 0), SimTime(900));
-        let res = m.end_tx(0, &mut rng);
+        m.begin_tx(&w, 0, NodeId(0), data(1, 0), SimTime(1000));
+        m.begin_tx(&w, 1, NodeId(2), data(1, 0), SimTime(900));
+        let res = end(&mut m, &w, 0, &mut rng);
         let r1 = res.iter().find(|r| r.receiver == NodeId(1)).unwrap();
         assert!(!r1.success, "min SINR {} dB should fail", r1.min_sinr_db);
     }
@@ -393,22 +384,22 @@ mod tests {
     fn no_receive_abort() {
         // Receiver locks the weak frame first; a stronger later frame
         // does NOT steal the lock (and itself goes unreceived).
-        let mut w = world(vec![
+        let w = world(vec![
             Point2::new(0.0, 0.0),  // weak sender, 60 away from rx
             Point2::new(60.0, 0.0), // receiver
             Point2::new(70.0, 0.0), // strong sender, 10 away from rx
         ]);
         let mut rng = seeded_rng(4);
         let mut m = Medium::new(3, w.config().noise, PhyConfig::default());
-        m.begin_tx(&mut w, 0, NodeId(0), data(1, 0), SimTime(1000));
+        m.begin_tx(&w, 0, NodeId(0), data(1, 0), SimTime(1000));
         assert!(m.is_receiving(NodeId(1)));
-        m.begin_tx(&mut w, 1, NodeId(2), data(1, 0), SimTime(900));
+        m.begin_tx(&w, 1, NodeId(2), data(1, 0), SimTime(900));
         // Still locked on tx 0 (which is now hopeless), not on tx 1.
-        let res0 = m.end_tx(0, &mut rng);
+        let res0 = end(&mut m, &w, 0, &mut rng);
         let r = res0.iter().find(|r| r.receiver == NodeId(1)).unwrap();
         assert!(!r.success);
         // tx 1 ends with no receiver locked on it.
-        let res1 = m.end_tx(1, &mut rng);
+        let res1 = end(&mut m, &w, 1, &mut rng);
         assert!(res1.iter().all(|r| r.receiver != NodeId(1)));
     }
 
@@ -416,39 +407,39 @@ mod tests {
     fn preamble_below_margin_not_locked() {
         // A frame arriving under existing strong interference is never
         // locked (the §5 chain-collision ingredient).
-        let mut w = world(vec![
+        let w = world(vec![
             Point2::new(0.0, 0.0),  // interferer near rx
             Point2::new(10.0, 0.0), // receiver
             Point2::new(80.0, 0.0), // weak sender
         ]);
         let mut rng = seeded_rng(5);
         let mut m = Medium::new(3, w.config().noise, PhyConfig::default());
-        m.begin_tx(&mut w, 0, NodeId(0), data(1, 0), SimTime(1000));
+        m.begin_tx(&w, 0, NodeId(0), data(1, 0), SimTime(1000));
         // Node 1 locks the strong frame; now the weak one arrives.
-        m.begin_tx(&mut w, 1, NodeId(2), data(1, 0), SimTime(1000));
+        m.begin_tx(&w, 1, NodeId(2), data(1, 0), SimTime(1000));
         // End the strong frame; node 1 was locked on it, decodes fine.
-        let res = m.end_tx(0, &mut rng);
+        let res = end(&mut m, &w, 0, &mut rng);
         assert!(res.iter().any(|r| r.receiver == NodeId(1) && r.success));
         // The weak frame finds no lock at node 1 (it appeared mid-burst)
         // and is too weak to have locked anyone else.
-        let res1 = m.end_tx(1, &mut rng);
+        let res1 = end(&mut m, &w, 1, &mut rng);
         assert!(res1.is_empty());
     }
 
     #[test]
     fn ambient_power_books_balance() {
-        let mut w = world(vec![
+        let w = world(vec![
             Point2::new(0.0, 0.0),
             Point2::new(20.0, 0.0),
             Point2::new(40.0, 0.0),
         ]);
         let mut rng = seeded_rng(6);
         let mut m = Medium::new(3, w.config().noise, PhyConfig::default());
-        m.begin_tx(&mut w, 0, NodeId(0), data(1, 0), SimTime(1000));
-        m.begin_tx(&mut w, 1, NodeId(2), data(1, 0), SimTime(1000));
+        m.begin_tx(&w, 0, NodeId(0), data(1, 0), SimTime(1000));
+        m.begin_tx(&w, 1, NodeId(2), data(1, 0), SimTime(1000));
         assert!(m.ambient(NodeId(1)) > 0.0);
-        let _ = m.end_tx(0, &mut rng);
-        let _ = m.end_tx(1, &mut rng);
+        let _ = end(&mut m, &w, 0, &mut rng);
+        let _ = end(&mut m, &w, 1, &mut rng);
         for i in 0..3 {
             assert_eq!(m.ambient(NodeId(i)), 0.0, "node {i} ambient should be zero");
         }
@@ -456,28 +447,28 @@ mod tests {
 
     #[test]
     fn half_duplex_abandons_reception() {
-        let mut w = world(vec![Point2::new(0.0, 0.0), Point2::new(20.0, 0.0)]);
+        let w = world(vec![Point2::new(0.0, 0.0), Point2::new(20.0, 0.0)]);
         let mut rng = seeded_rng(7);
         let mut m = Medium::new(2, w.config().noise, PhyConfig::default());
-        m.begin_tx(&mut w, 0, NodeId(0), data(1, 0), SimTime(1000));
+        m.begin_tx(&w, 0, NodeId(0), data(1, 0), SimTime(1000));
         assert!(m.is_receiving(NodeId(1)));
         // Node 1 starts its own transmission mid-reception.
-        m.begin_tx(&mut w, 1, NodeId(1), data(0, 0), SimTime(900));
+        m.begin_tx(&w, 1, NodeId(1), data(0, 0), SimTime(900));
         assert!(!m.is_receiving(NodeId(1)));
         // Frame 0 ends with nobody locked.
-        assert!(m.end_tx(0, &mut rng).is_empty());
-        let _ = m.end_tx(1, &mut rng);
+        assert!(end(&mut m, &w, 0, &mut rng).is_empty());
+        let _ = end(&mut m, &w, 1, &mut rng);
     }
 
     #[test]
     fn sigmoid_reception_is_probabilistic() {
         // At exactly the requirement the sigmoid gives ~50 % success.
-        let mut w = world(vec![Point2::new(0.0, 0.0), Point2::new(1.0, 0.0)]);
+        let w = world(vec![Point2::new(0.0, 0.0), Point2::new(1.0, 0.0)]);
         // Choose geometry: snr huge; instead use rate with requirement
         // equal to actual snr by placing receiver at SNR = 14 dB for
         // 24 Mbps: r where r^-3/1e-6.5 = 10^1.4 → r ≈ 50.
-        let mut w2 = world(vec![Point2::new(0.0, 0.0), Point2::new(50.1, 0.0)]);
-        let _ = &mut w;
+        let w2 = world(vec![Point2::new(0.0, 0.0), Point2::new(50.1, 0.0)]);
+        let _ = &w;
         let cfg = PhyConfig {
             reception: ReceptionModel::Sigmoid { width_db: 1.0 },
             ..Default::default()
@@ -487,8 +478,8 @@ mod tests {
         let n = 2000;
         for t in 0..n {
             let mut m = Medium::new(2, w2.config().noise, cfg);
-            m.begin_tx(&mut w2, t, NodeId(0), data(1, 4), SimTime(1000));
-            if m.end_tx(t, &mut rng)[0].success {
+            m.begin_tx(&w2, t, NodeId(0), data(1, 4), SimTime(1000));
+            if end(&mut m, &w2, t, &mut rng)[0].success {
                 successes += 1;
             }
         }

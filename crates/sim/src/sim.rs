@@ -9,6 +9,10 @@
 //!   that elapsed — or (c) starts a fresh countdown. Stale plans are
 //!   invalidated by a per-node generation counter rather than by
 //!   searching the queue.
+//! * **Sender-only replanning.** Only flow senders contend, so a medium
+//!   change re-evaluates just them, in ascending node order (the order
+//!   their plan events enter the queue, which breaks time ties by
+//!   insertion).
 //! * **Slot collisions** (§5) arise naturally: a plan that fires at the
 //!   very microsecond another node starts transmitting is *not*
 //!   cancelled — real radios cannot sense within the same slot — so two
@@ -23,6 +27,7 @@ use crate::mac::RtsCtsPolicy;
 use crate::mac::{AckPolicy, CcaMode, MacConfig, MacPhase, MacState};
 use crate::phy::{DecodeResult, Frame, FrameKind, Medium, PhyConfig};
 use crate::rate::RatePolicy;
+use crate::slab::IdSlab;
 use crate::time::{Duration, SimTime};
 use crate::timing;
 use crate::trace::{FrameTag, Trace, TraceEntry, TraceKind};
@@ -30,7 +35,6 @@ use crate::world::{NodeId, World};
 use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 use wcs_capacity::rates::{Bitrate, RATES_11A};
 use wcs_stats::rng::SeedStream;
 
@@ -171,10 +175,17 @@ pub struct Simulator {
     macs: Vec<MacState>,
     flows: Vec<Flow>,
     flow_of: Vec<Option<usize>>,
-    tx_meta: HashMap<u64, (NodeId, Frame, SimTime)>,
+    /// Flow sources in ascending node order: the only contending nodes.
+    senders: Vec<NodeId>,
+    /// Linear energy-detect threshold per node (noise × 10^(dB/10),
+    /// including the node's CCA offset).
+    cca_threshold: Vec<f64>,
+    tx_meta: IdSlab<(NodeId, Frame, SimTime)>,
     next_tx_id: u64,
-    pending_ctrl: HashMap<u64, PendingCtrl>,
+    pending_ctrl: IdSlab<PendingCtrl>,
     next_ctrl_id: u64,
+    /// Reused buffer for the decode outcomes of an ending frame.
+    decoded: Vec<DecodeResult>,
     rng_backoff: StdRng,
     rng_phy: StdRng,
     rng_rate: StdRng,
@@ -198,7 +209,7 @@ impl Simulator {
         let macs = (0..n)
             .map(|_| MacState::new(false, cfg.mac.cw_min))
             .collect();
-        Simulator {
+        let mut sim = Simulator {
             medium: Medium::new(n, noise, cfg.phy),
             world,
             cfg,
@@ -207,10 +218,13 @@ impl Simulator {
             macs,
             flows: Vec::new(),
             flow_of: vec![None; n],
-            tx_meta: HashMap::new(),
+            senders: Vec::new(),
+            cca_threshold: vec![0.0; n],
+            tx_meta: IdSlab::default(),
             next_tx_id: 0,
-            pending_ctrl: HashMap::new(),
+            pending_ctrl: IdSlab::default(),
             next_ctrl_id: 0,
+            decoded: Vec::new(),
             rng_backoff: seeds.next_rng(),
             rng_phy: seeds.next_rng(),
             rng_rate: seeds.next_rng(),
@@ -220,7 +234,11 @@ impl Simulator {
             occupancy_last: SimTime::ZERO,
             any_tx_us: 0,
             overlap_us: 0,
+        };
+        for i in 0..n {
+            sim.refresh_cca_threshold(NodeId(i as u32));
         }
+        sim
     }
 
     /// Register a saturated flow from `src` to `dst`. Returns its index.
@@ -242,12 +260,22 @@ impl Simulator {
         });
         self.flow_of[src.0 as usize] = Some(idx);
         self.macs[src.0 as usize] = MacState::new(true, self.cfg.mac.cw_min);
+        self.refresh_cca_threshold(src);
+        let at = self.senders.partition_point(|&s| s < src);
+        self.senders.insert(at, src);
         idx
     }
 
     /// Inject a per-node CCA threshold offset (threshold asymmetry, §5).
     pub fn set_cca_offset_db(&mut self, node: NodeId, db: f64) {
         self.macs[node.0 as usize].cca_offset_db = db;
+        self.refresh_cca_threshold(node);
+    }
+
+    fn refresh_cca_threshold(&mut self, node: NodeId) {
+        let i = node.0 as usize;
+        let thresh_db = self.cfg.mac.cca_threshold_db + self.macs[i].cca_offset_db;
+        self.cca_threshold[i] = self.world.config().noise * 10f64.powf(thresh_db / 10.0);
     }
 
     /// Statistics of flow `idx`.
@@ -258,11 +286,6 @@ impl Simulator {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Mutable world access (e.g. to probe RSSI between nodes).
-    pub fn world_mut(&mut self) -> &mut World {
-        &mut self.world
     }
 
     /// The MAC state of a node (read-only; used by tests and pathology
@@ -349,9 +372,7 @@ impl Simulator {
         match self.cfg.mac.cca_mode {
             CcaMode::Disabled => false,
             CcaMode::EnergyDetect => {
-                let thresh_db = self.cfg.mac.cca_threshold_db + mac.cca_offset_db;
-                let thresh = self.world.config().noise * 10f64.powf(thresh_db / 10.0);
-                self.medium.ambient(node) > thresh
+                self.medium.ambient(node) > self.cca_threshold[node.0 as usize]
             }
             CcaMode::PreambleDetect => self.medium.is_receiving(node),
         }
@@ -367,13 +388,13 @@ impl Simulator {
 
     /// Re-evaluate a node's countdown after any medium-state change.
     fn replan(&mut self, node: NodeId) {
-        let busy = self.medium_busy(node);
         let i = node.0 as usize;
-        let now = self.now;
-        let mac = &mut self.macs[i];
-        if mac.phase != MacPhase::Contending || !mac.enabled {
+        if self.macs[i].phase != MacPhase::Contending || !self.macs[i].enabled {
             return;
         }
+        let busy = self.medium_busy(node);
+        let now = self.now;
+        let mac = &mut self.macs[i];
         if busy {
             if let Some(start) = mac.countdown_start.take() {
                 // Accrue idle slots burned since the countdown began.
@@ -404,8 +425,8 @@ impl Simulator {
     }
 
     fn replan_all(&mut self) {
-        for i in 0..self.macs.len() {
-            self.replan(NodeId(i as u32));
+        for k in 0..self.senders.len() {
+            self.replan(self.senders[k]);
         }
     }
 
@@ -424,8 +445,7 @@ impl Simulator {
             });
         }
         self.tx_meta.insert(tx_id, (node, frame, self.now));
-        self.medium
-            .begin_tx(&mut self.world, tx_id, node, frame, end);
+        self.medium.begin_tx(&self.world, tx_id, node, frame, end);
         self.queue.push(end, Event::TxEnd { node, tx_id });
         self.replan_all();
     }
@@ -500,7 +520,7 @@ impl Simulator {
     }
 
     fn on_ctrl_tx(&mut self, node: NodeId, ctrl_id: u64) {
-        let Some(p) = self.pending_ctrl.remove(&ctrl_id) else {
+        let Some(p) = self.pending_ctrl.remove(ctrl_id) else {
             return;
         };
         if self.medium.is_transmitting(node) {
@@ -527,9 +547,11 @@ impl Simulator {
     }
 
     fn on_tx_end(&mut self, tx_id: u64) {
-        let (sender, frame, started) = self.tx_meta.remove(&tx_id).expect("unknown tx");
+        let (sender, frame, started) = self.tx_meta.remove(tx_id).expect("unknown tx");
         self.airtime_us[sender.0 as usize] += self.now.since(started).as_micros();
-        let results = self.medium.end_tx(tx_id, &mut self.rng_phy);
+        let mut results = std::mem::take(&mut self.decoded);
+        self.medium
+            .end_tx(&self.world, tx_id, &mut self.rng_phy, &mut results);
         if let Some(tr) = self.trace.as_mut() {
             let delivered = match frame.kind {
                 FrameKind::Data { dst, .. } => {
@@ -597,6 +619,7 @@ impl Simulator {
             }
             FrameKind::Ack { .. } | FrameKind::Cts { .. } => {}
         }
+        self.decoded = results;
         self.replan_all();
     }
 

@@ -65,7 +65,7 @@ pub fn testbed_phy() -> PhyConfig {
 #[derive(Debug, Clone)]
 pub struct Testbed {
     cfg: TestbedConfig,
-    positions: Vec<Point2>,
+    world: World,
 }
 
 /// A candidate directed link with its estimated base-rate delivery.
@@ -93,7 +93,8 @@ impl Testbed {
                 )
             })
             .collect();
-        Testbed { cfg, positions }
+        let world = World::new(positions, cfg.channel, cfg.seed ^ 0x5AAD);
+        Testbed { cfg, world }
     }
 
     /// The generation parameters.
@@ -103,22 +104,20 @@ impl Testbed {
 
     /// Number of nodes.
     pub fn len(&self) -> usize {
-        self.positions.len()
+        self.world.len()
     }
 
     /// Whether the testbed is empty.
     pub fn is_empty(&self) -> bool {
-        self.positions.is_empty()
+        self.world.is_empty()
     }
 
-    /// A fresh [`World`] over this testbed (same frozen shadowing every
-    /// time — the building doesn't move between runs).
+    /// The testbed's [`World`] (same frozen shadowing every time — the
+    /// building doesn't move between runs). Built once by
+    /// [`Testbed::generate`]; this is a cheap clone sharing its channel
+    /// table.
     pub fn world(&self) -> World {
-        World::new(
-            self.positions.clone(),
-            self.cfg.channel,
-            self.cfg.seed ^ 0x5AAD,
-        )
+        self.world.clone()
     }
 
     /// Interference-free delivery probability of one frame at `rate_idx`
@@ -128,8 +127,7 @@ impl Testbed {
     /// p = σ((SNR − SNR_min)/width), so link categorisation does not need
     /// simulation time.
     pub fn link_delivery(&self, src: NodeId, dst: NodeId, rate_idx: usize) -> f64 {
-        let mut w = self.world();
-        let snr_db = w.rssi_db(src, dst);
+        let snr_db = self.world.rssi_db(src, dst);
         let req = wcs_capacity::rates::RATES_11A[rate_idx].min_snr_db;
         match testbed_phy().reception {
             ReceptionModel::Sigmoid { width_db } => {
@@ -149,7 +147,6 @@ impl Testbed {
     /// `[min_delivery, max_delivery]` — the paper's link-level metric for
     /// picking short-range (≥0.94) and long-range (0.80–0.95) pairs.
     pub fn candidate_links(&self, min_delivery: f64, max_delivery: f64) -> Vec<CandidateLink> {
-        let mut w = self.world();
         let mut out = Vec::new();
         for s in 0..self.len() {
             for d in 0..self.len() {
@@ -163,7 +160,7 @@ impl Testbed {
                         src,
                         dst,
                         delivery_6mbps: p,
-                        rssi_db: w.rssi_db(src, dst),
+                        rssi_db: self.world.rssi_db(src, dst),
                     });
                 }
             }
@@ -176,7 +173,7 @@ impl Testbed {
     /// `wcs_stats::fit::fit_pathloss_shadowing` to recover (α, σ).
     /// Returns `(observed, censored_distances)`.
     pub fn rssi_survey(&self, threshold_db: f64) -> (Vec<RssiSample>, Vec<f64>) {
-        let mut w = self.world();
+        let w = &self.world;
         let mut obs = Vec::new();
         let mut cens = Vec::new();
         for a in 0..self.len() {
@@ -212,8 +209,8 @@ mod tests {
         let a = bed();
         let b = bed();
         assert_eq!(a.len(), 50);
-        for i in 0..a.len() {
-            assert_eq!(a.positions[i], b.positions[i]);
+        for i in 0..a.len() as u32 {
+            assert_eq!(a.world.position(NodeId(i)), b.world.position(NodeId(i)));
         }
     }
 

@@ -6,8 +6,17 @@
 //! normalised as in the analysis: transmit power is 1 at unit distance
 //! and the noise floor defaults to −65 dB, so "RSSI" in this simulator
 //! is dB above the noise floor, matching the paper's RSSI axes.
+//!
+//! The channel is static, so [`World::new`] evaluates it once: every
+//! shadow draw and every path loss goes into an N×N linear-gain table
+//! behind an `Arc`. Channel queries are table reads through `&self`,
+//! clones share the table, and the simulator's per-frame work reads the
+//! sender's row instead of recomputing 49 path losses. Each shadow draw
+//! is its own seeded stream (`split_rng(seed, pair)`), so drawing them
+//! all up front yields exactly the values a lazy lookup would.
 
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 use wcs_propagation::geometry::Point2;
 use wcs_propagation::pathloss::PathLoss;
 use wcs_propagation::shadowing::{ShadowField, Shadowing};
@@ -69,18 +78,32 @@ impl ChannelConfig {
 /// The static world: positions plus the frozen channel.
 #[derive(Debug, Clone)]
 pub struct World {
-    positions: Vec<Point2>,
+    positions: Arc<[Point2]>,
     config: ChannelConfig,
-    shadow: ShadowField,
+    /// Linear gain, row-major: `gain[a·n + b]` for `a → b`; the unused
+    /// diagonal holds 0.
+    gain: Arc<[f64]>,
 }
 
 impl World {
-    /// Build a world from node positions.
+    /// Build a world from node positions, evaluating the whole channel.
     pub fn new(positions: Vec<Point2>, config: ChannelConfig, seed: u64) -> Self {
+        let n = positions.len();
+        let mut shadow = ShadowField::new(config.shadowing, seed);
+        let mut gain = vec![0.0; n * n];
+        for a in 0..n {
+            for b in 0..n {
+                if a != b {
+                    let d = positions[a].distance(&positions[b]);
+                    gain[a * n + b] =
+                        config.path_loss.gain(d) * shadow.gain_linear(a as u32, b as u32);
+                }
+            }
+        }
         World {
-            positions,
+            positions: positions.into(),
             config,
-            shadow: ShadowField::new(config.shadowing, seed),
+            gain: gain.into(),
         }
     }
 
@@ -109,22 +132,29 @@ impl World {
         self.config
     }
 
+    /// Linear channel gain from `a` to every node (index = `NodeId`);
+    /// the entry for `a` itself is 0.
+    pub(crate) fn gain_row(&self, a: NodeId) -> &[f64] {
+        let n = self.len();
+        let start = a.0 as usize * n;
+        &self.gain[start..start + n]
+    }
+
     /// Linear channel *gain* from `a` to `b` (path loss × frozen shadow).
     /// Symmetric by construction.
-    pub fn gain(&mut self, a: NodeId, b: NodeId) -> f64 {
+    pub fn gain(&self, a: NodeId, b: NodeId) -> f64 {
         assert_ne!(a, b, "self-channel is undefined");
-        let d = self.distance(a, b);
-        self.config.path_loss.gain(d) * self.shadow.gain_linear(a.0, b.0)
+        self.gain_row(a)[b.0 as usize]
     }
 
     /// Received power at `b` when `a` transmits (linear).
-    pub fn rx_power(&mut self, a: NodeId, b: NodeId) -> f64 {
+    pub fn rx_power(&self, a: NodeId, b: NodeId) -> f64 {
         self.config.tx_power * self.gain(a, b)
     }
 
     /// RSSI in dB above the noise floor — the quantity the paper's
     /// Figures 11/13 plot on their x axes.
-    pub fn rssi_db(&mut self, a: NodeId, b: NodeId) -> f64 {
+    pub fn rssi_db(&self, a: NodeId, b: NodeId) -> f64 {
         10.0 * (self.rx_power(a, b) / self.config.noise).log10()
     }
 
@@ -150,7 +180,7 @@ mod tests {
 
     #[test]
     fn gain_is_symmetric() {
-        let mut w = World::new(
+        let w = World::new(
             vec![Point2::new(0.0, 0.0), Point2::new(30.0, 40.0)],
             ChannelConfig::paper_testbed(),
             7,
@@ -163,15 +193,15 @@ mod tests {
     #[test]
     fn rssi_matches_snr_anchors() {
         // d = 20 at α = 3 ⇒ RSSI ≈ 26 dB above noise.
-        let mut w = two_node_world(20.0);
+        let w = two_node_world(20.0);
         assert!((w.rssi_db(NodeId(0), NodeId(1)) - 26.0).abs() < 0.2);
-        let mut w = two_node_world(120.0);
+        let w = two_node_world(120.0);
         assert!((w.rssi_db(NodeId(0), NodeId(1)) - 2.6).abs() < 0.2);
     }
 
     #[test]
     fn shadowing_is_frozen() {
-        let mut w = World::new(
+        let w = World::new(
             vec![Point2::new(0.0, 0.0), Point2::new(10.0, 0.0)],
             ChannelConfig::paper_testbed(),
             3,
@@ -191,7 +221,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn self_channel_rejected() {
-        let mut w = two_node_world(10.0);
+        let w = two_node_world(10.0);
         let _ = w.gain(NodeId(0), NodeId(0));
     }
 }

@@ -175,6 +175,20 @@ fn pathology_report_signatures() {
 }
 
 #[test]
+fn pathology_report_text_is_pinned() {
+    // The exact quick-effort text: the simulator's hot path may get
+    // faster, never different.
+    assert_eq!(
+        wcs_bench::pathology_report(Effort::Quick),
+        "# §5/§6 pathologies\n\
+         slot collisions: loss fraction 0.056 (theory ≈ 1/16 per cycle)\n\
+         chain collisions: delivery energy-detect 0.833 vs preamble-detect 0.093\n\
+         threshold asymmetry: airtime ratio 1.02 (symmetric) → 1.70 (+20 dB deaf node)\n\
+         rate anomaly [Heusse03]: fast 24 Mbps sender 374 pkt/s shared vs 1662 alone; slow sender airtime 79%\n"
+    );
+}
+
+#[test]
 fn exposed_vs_rate_shape() {
     let out = wcs_bench::exposed_vs_rate_report(Effort::Quick);
     // Parse "bitrate adaptation alone: X pkt/s  (Yx ...)".
