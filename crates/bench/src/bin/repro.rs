@@ -1345,7 +1345,8 @@ fn runlog_to_prometheus(log: &wcs_telemetry::jsonl::RunLog) -> String {
 }
 
 /// Per-phase durations of one diffable input: a `wcs-runlog-v1` file
-/// (span-exit and timed-event totals by name) or a run manifest
+/// (span-exit and timed-event totals by [`wcs_telemetry::Event::phase`])
+/// or a run manifest
 /// (`wall` plus per-histogram sums).
 fn load_phases(path: &Path) -> Vec<(String, u64)> {
     use wcs_bench::perf::json;
@@ -1388,7 +1389,7 @@ fn load_phases(path: &Path) -> Vec<(String, u64)> {
             .find(|(k, _)| k == "dur_ns")
             .and_then(|(_, v)| v.as_u64())
         {
-            *totals.entry(ev.name.clone()).or_insert(0) += ns;
+            *totals.entry(ev.phase().into_owned()).or_insert(0) += ns;
         }
     }
     totals.into_iter().collect()
@@ -1640,24 +1641,17 @@ fn main() {
     };
     for name in names {
         let t0 = std::time::Instant::now();
+        // One span per experiment: `trace summarize` and `trace diff`
+        // report its time as `run.experiment[<name>]`.
+        let span = wcs_telemetry::span("run.experiment")
+            .with("name", name.as_str())
+            .start();
         match run_one(&name, effort) {
             Some(out) => {
                 println!("==================== {name} ====================");
                 println!("{out}");
-                wcs_telemetry::info(
-                    "run.experiment",
-                    &format!("[{name}: {:.1}s]", t0.elapsed().as_secs_f64()),
-                    vec![
-                        (
-                            "name".to_string(),
-                            wcs_telemetry::Value::from(name.as_str()),
-                        ),
-                        (
-                            "dur_ns".to_string(),
-                            wcs_telemetry::Value::U64(t0.elapsed().as_nanos() as u64),
-                        ),
-                    ],
-                );
+                drop(span);
+                eprintln!("[{name}: {:.1}s]", t0.elapsed().as_secs_f64());
             }
             None => {
                 eprintln!("unknown experiment '{name}'; known: {}", ALL.join(" "));

@@ -1,16 +1,47 @@
 //! Regenerators for the §3.2.5 efficiency tables and the α/σ sweep.
 
 use crate::Effort;
-use wcs_core::efficiency::efficiency_table;
+use wcs_core::efficiency::{plan_efficiency_table, EfficiencyTable};
 use wcs_core::params::ModelParams;
-use wcs_core::sensitivity::{sweep_alpha_sigma, sweep_spread};
+use wcs_core::sensitivity::{plan_alpha_sigma, sweep_rows, sweep_spread, SweepRow};
 use wcs_core::threshold::optimal_threshold;
+use wcs_runtime::Engine;
+
+/// `wcs_core::efficiency::efficiency_table` with its cells fanned out on
+/// `engine`: the same planned cells and seeds, so the same table at any
+/// thread count.
+pub fn efficiency_table_on(
+    engine: &Engine,
+    params: &ModelParams,
+    rmaxes: &[f64],
+    ds: &[f64],
+    thresholds: &[f64],
+    n: u64,
+    seed: u64,
+) -> EfficiencyTable {
+    let tasks = plan_efficiency_table(params, rmaxes, ds, thresholds, seed);
+    EfficiencyTable::from_cells(rmaxes, ds, engine.map(&tasks, |t| t.run(n)))
+}
+
+/// `wcs_core::sensitivity::sweep_alpha_sigma` with its cells fanned out
+/// on `engine` (same cells, same seeds, same rows).
+pub fn sweep_alpha_sigma_on(
+    engine: &Engine,
+    alphas: &[f64],
+    sigmas: &[f64],
+    n: u64,
+    seed: u64,
+) -> Vec<SweepRow> {
+    let tasks = plan_alpha_sigma(alphas, sigmas, seed);
+    sweep_rows(alphas, sigmas, &engine.map(&tasks, |t| t.run(n)))
+}
 
 /// Table 1 — carrier-sense throughput as % of optimal, fixed
 /// D_thresh = 55, α = 3, σ = 8 dB.
 pub fn table1(effort: Effort) -> String {
     let p = ModelParams::paper_default();
-    let t = efficiency_table(
+    let t = efficiency_table_on(
+        &crate::engine(),
         &p,
         &[20.0, 40.0, 120.0],
         &[20.0, 55.0, 120.0],
@@ -33,12 +64,14 @@ pub fn table2(effort: Effort) -> String {
     let rmaxes = [20.0, 40.0, 120.0];
     // Per-Rmax threshold solves are independent — engine tasks (seed 2
     // per solve, as the serial loop used).
-    let thresholds = crate::engine().map(&rmaxes, |&rmax| {
+    let engine = crate::engine();
+    let thresholds = engine.map(&rmaxes, |&rmax| {
         optimal_threshold(&p, rmax, effort.mc_samples() / 4, 2)
             .crossing()
             .unwrap_or(55.0)
     });
-    let t = efficiency_table(
+    let t = efficiency_table_on(
+        &engine,
         &p,
         &rmaxes,
         &[20.0, 55.0, 120.0],
@@ -59,7 +92,8 @@ pub fn table2(effort: Effort) -> String {
 
 /// The omitted α/σ sweep ("very little change is observed").
 pub fn alpha_sigma_sweep(effort: Effort) -> String {
-    let rows = sweep_alpha_sigma(
+    let rows = sweep_alpha_sigma_on(
+        &crate::engine(),
         &[2.0, 3.0, 4.0],
         &[4.0, 8.0, 12.0],
         effort.mc_samples() / 4,

@@ -388,6 +388,65 @@ fn trace_diff_flags_injected_slowdown_and_gates() {
 }
 
 #[test]
+fn experiments_are_spans_that_summarize_and_diff_name() {
+    let dir = tmpdir("experiments");
+    let runlog = dir.join("paper.runlog.jsonl");
+    let experiments = ["table1", "fig2", "fig7"];
+    let plain = run_ok(repro().args(experiments));
+    let traced = run_ok(
+        repro()
+            .arg(format!("--telemetry={}", runlog.display()))
+            .args(experiments),
+    );
+    assert_eq!(
+        plain.stdout, traced.stdout,
+        "--telemetry must not change report bytes"
+    );
+    // The per-experiment stderr status lines are unchanged.
+    let stderr = String::from_utf8_lossy(&traced.stderr).into_owned();
+    for name in experiments {
+        assert!(stderr.contains(&format!("[{name}: ")), "{stderr}");
+    }
+
+    // One run.experiment span per experiment, named by a field.
+    let log = read_runlog(&runlog).expect("runlog must parse");
+    let exits: Vec<&str> = log
+        .events
+        .iter()
+        .filter(|e| e.kind == EventKind::SpanExit && e.name == "run.experiment")
+        .filter_map(|e| e.str_field("name"))
+        .collect();
+    assert_eq!(exits, experiments);
+
+    // summarize lists per-experiment time ...
+    let out = run_ok(repro().args(["trace", "summarize"]).arg(&runlog));
+    let summary = String::from_utf8_lossy(&out.stdout).into_owned();
+    for name in experiments {
+        assert!(
+            summary.contains(&format!("run.experiment[{name}]")),
+            "{summary}"
+        );
+    }
+
+    // ... and diff names a slowed-down experiment.
+    let slowed = dir.join("slowed.jsonl");
+    doctor_runlog(&runlog, &slowed, "fig7", 3);
+    let gated = repro()
+        .args(["trace", "diff"])
+        .arg(&runlog)
+        .arg(&slowed)
+        .args(["--fail-on-regression", "25"])
+        .output()
+        .unwrap();
+    let stdout = String::from_utf8_lossy(&gated.stdout).into_owned();
+    let flagged: Vec<&str> = stdout.lines().filter(|l| l.contains("REGRESSED")).collect();
+    assert_eq!(flagged.len(), 1, "{stdout}");
+    assert!(flagged[0].starts_with("run.experiment[fig7]"), "{stdout}");
+    assert_eq!(gated.status.code(), Some(1), "gate must fail on regression");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn trace_export_prom_renders_counters_and_histograms() {
     let dir = tmpdir("export");
     let runlog = record_runlog(&dir, "prom");

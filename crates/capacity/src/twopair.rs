@@ -10,7 +10,7 @@
 use crate::shannon::CapacityModel;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use wcs_propagation::geometry::interferer_distance;
+use wcs_propagation::geometry::{interferer_distance, interferer_distance_xy};
 use wcs_propagation::model::PropagationModel;
 
 /// The random shadowing draws entering one two-pair configuration.
@@ -217,6 +217,13 @@ impl TwoPairScenario {
 /// [`TwoPairKernel::evaluate`] computes each per-sample link gain and
 /// capacity exactly once, deriving all policies from those.
 ///
+/// Evaluation runs in two stages: [`TwoPairKernel::links`] computes the
+/// D-independent half of a configuration (signal gains, multiplexing
+/// capacities, receiver offsets, shadow factors) and
+/// [`TwoPairKernel::score`] finishes it at the kernel's D. A caller
+/// scoring one ensemble at many D runs the link stage once per sample and
+/// one score stage per D; `evaluate` is their composition.
+///
 /// **Bitwise contract:** every field of [`TwoPairSampleScores`] is
 /// computed by the *identical* floating-point expression the
 /// corresponding [`TwoPairScenario`] method uses (common subexpressions
@@ -233,6 +240,23 @@ pub struct TwoPairKernel {
     /// Hoisted `median_gain(d_thresh)` — the carrier-sense power
     /// threshold.
     p_thresh: f64,
+}
+
+/// The D-independent half of one configuration's evaluation, from
+/// [`TwoPairKernel::links`]; [`TwoPairKernel::score`] completes it at
+/// any sender–sender distance.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TwoPairLinks {
+    /// Signal link gains r^(−α)·Lσ for pair 1 / pair 2.
+    signal: [f64; 2],
+    /// C_multiplexing for pair 1 / pair 2.
+    mux: [f64; 2],
+    /// Receiver offsets (r·cosθ, r·sinθ) around their senders, per pair.
+    offset: [(f64, f64); 2],
+    /// L′σ for the interference links S2→R1 / S1→R2.
+    interference: [f64; 2],
+    /// L″σ for the sense link.
+    sense: f64,
 }
 
 /// Every per-sample quantity the Monte Carlo accumulators consume, from
@@ -273,26 +297,54 @@ impl TwoPairKernel {
         pair2: PairSample,
         shadows: &ShadowDraws,
     ) -> TwoPairSampleScores {
+        self.score(&self.links(pair1, pair2, shadows))
+    }
+
+    /// The link stage: everything about one configuration that does not
+    /// depend on D (the expressions mirror c_single_* / c_multiplexing_*,
+    /// and the offsets are `interferer_distance`'s own products).
+    #[inline]
+    pub fn links(
+        &self,
+        pair1: PairSample,
+        pair2: PairSample,
+        shadows: &ShadowDraws,
+    ) -> TwoPairLinks {
         let noise = self.prop.noise;
-        // Signal and interference link gains, one powf each (the
-        // expressions mirror c_single_* / c_concurrent_*).
         let signal1 = self.prop.median_gain(pair1.r) * shadows.signal1;
         let signal2 = self.prop.median_gain(pair2.r) * shadows.signal2;
-        let interf1 = self
-            .prop
-            .median_gain(interferer_distance(pair1.r, pair1.theta, self.d))
-            * shadows.interference1;
-        let interf2 = self
-            .prop
-            .median_gain(interferer_distance(pair2.r, pair2.theta, self.d))
-            * shadows.interference2;
+        TwoPairLinks {
+            signal: [signal1, signal2],
+            mux: [
+                self.cap.capacity(signal1 / noise) / 2.0,
+                self.cap.capacity(signal2 / noise) / 2.0,
+            ],
+            offset: [
+                (pair1.r * pair1.theta.cos(), pair1.r * pair1.theta.sin()),
+                (pair2.r * pair2.theta.cos(), pair2.r * pair2.theta.sin()),
+            ],
+            interference: [shadows.interference1, shadows.interference2],
+            sense: shadows.sense,
+        }
+    }
 
-        let mux1 = self.cap.capacity(signal1 / noise) / 2.0;
-        let mux2 = self.cap.capacity(signal2 / noise) / 2.0;
-        let conc1 = self.cap.capacity(signal1 / (noise + interf1));
-        let conc2 = self.cap.capacity(signal2 / (noise + interf2));
+    /// The score stage: finish a configuration's link stage at this
+    /// kernel's D and threshold.
+    #[inline]
+    pub fn score(&self, links: &TwoPairLinks) -> TwoPairSampleScores {
+        let noise = self.prop.noise;
+        // Interference link gains, one powf each (the expressions mirror
+        // c_concurrent_*).
+        let interf = |i: usize| {
+            let (x, y) = links.offset[i];
+            self.prop.median_gain(interferer_distance_xy(x, y, self.d)) * links.interference[i]
+        };
+        let [signal1, signal2] = links.signal;
+        let [mux1, mux2] = links.mux;
+        let conc1 = self.cap.capacity(signal1 / (noise + interf(0)));
+        let conc2 = self.cap.capacity(signal2 / (noise + interf(1)));
 
-        let sensed = self.sense_path_gain * shadows.sense;
+        let sensed = self.sense_path_gain * links.sense;
         let decision = if sensed > self.p_thresh {
             CsDecision::Multiplex
         } else {

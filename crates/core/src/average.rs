@@ -11,12 +11,20 @@
 //!   ratios like ⟨C_cs⟩/⟨C_max⟩ far more precise than independent runs
 //!   would be. The optimal policy C_max inherently needs the joint
 //!   two-pair sample, which is why it has no quadrature path.
+//! * **Monte Carlo over a D grid** ([`mc_averages_grid`]): the sampled
+//!   configurations do not depend on D, so one ensemble is drawn once and
+//!   scored at every D — the link stage of each sample runs once, the
+//!   D-dependent score stage once per grid point. Each point's averages
+//!   are bitwise those of a standalone [`mc_averages`] at that D, which
+//!   is the one-point case of the same estimator loop.
 
 use crate::params::ModelParams;
+use rand::rngs::StdRng;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use wcs_capacity::twopair::{
-    PairSample, ShadowDraws, TwoPairKernel, TwoPairKernelV2, TwoPairScenario,
+    CsDecision, PairSample, ShadowDraws, TwoPairKernel, TwoPairKernelV2, TwoPairSampleScores,
+    TwoPairScenario,
 };
 use wcs_stats::montecarlo::{MonteCarlo, MonteCarloEstimate};
 use wcs_stats::quadrature::integrate_polar_disc;
@@ -85,8 +93,13 @@ pub struct PolicyAverages {
     pub multiplex_fraction: f64,
 }
 
+/// Stream label of the single-stream estimators ([`mc_averages`],
+/// [`mc_averages_grid`], [`mc_averages_v2`]).
+const SERIAL_STREAM: u64 = 0x5ca1_ab1e;
+
 /// Estimate all policy averages at (`rmax`, `d`) with carrier-sense
-/// threshold `d_thresh`, using `n` configuration samples.
+/// threshold `d_thresh`, using `n` configuration samples — the one-point
+/// case of [`mc_averages_grid`].
 ///
 /// Per-pair throughputs are averaged over both pairs of each
 /// configuration (they are exchangeable, so this halves the variance).
@@ -98,41 +111,77 @@ pub fn mc_averages(
     n: u64,
     seed: u64,
 ) -> PolicyAverages {
-    let mut rng = split_rng(seed, 0x5ca1_ab1e);
-    let mut mux = MonteCarlo::new();
-    let mut conc = MonteCarlo::new();
-    let mut cs = MonteCarlo::new();
-    let mut opt = MonteCarlo::new();
-    let mut ub = MonteCarlo::new();
-    let mut n_multiplex = 0u64;
-    // Per-task invariants (sense path gain, threshold power) hoisted
-    // once; each sample evaluates every link gain exactly once. Bitwise
-    // identical to the per-method TwoPairScenario path (see the kernel's
-    // contract and its property test).
-    let kernel = TwoPairKernel::new(params.prop, params.cap, d, d_thresh);
+    mc_point(params, rmax, d, d_thresh, n, split_rng(seed, SERIAL_STREAM)).finish()
+}
 
+/// [`mc_averages`] at every D of `ds` from one common ensemble: the
+/// `n` configurations are drawn once (they do not depend on D), each
+/// sample's link stage runs once, and its score stage once per D into
+/// that D's own accumulators. Entry `j` is bitwise equal to
+/// `mc_averages(params, rmax, ds[j], d_thresh, n, seed)` — the same
+/// values reach the same accumulator in the same order. Memory is one
+/// accumulator set per D; the ensemble itself is never stored.
+pub fn mc_averages_grid(
+    params: &ModelParams,
+    rmax: f64,
+    ds: &[f64],
+    d_thresh: f64,
+    n: u64,
+    seed: u64,
+) -> Vec<PolicyAverages> {
+    let kernels: Vec<TwoPairKernel> = ds
+        .iter()
+        .map(|&d| TwoPairKernel::new(params.prop, params.cap, d, d_thresh))
+        .collect();
+    let mut accs = vec![ChunkAccumulators::default(); kernels.len()];
+    let rng = split_rng(seed, SERIAL_STREAM);
+    score_ensemble(params, rmax, &kernels, &mut accs, n, rng);
+    accs.iter().map(ChunkAccumulators::finish).collect()
+}
+
+/// The accumulators of `n` configurations from `rng`, scored at one D.
+#[inline(always)]
+fn mc_point(
+    params: &ModelParams,
+    rmax: f64,
+    d: f64,
+    d_thresh: f64,
+    n: u64,
+    rng: StdRng,
+) -> ChunkAccumulators {
+    let kernel = TwoPairKernel::new(params.prop, params.cap, d, d_thresh);
+    let mut accs = [ChunkAccumulators::default()];
+    score_ensemble(params, rmax, &[kernel], &mut accs, n, rng);
+    let [acc] = accs;
+    acc
+}
+
+/// The one v1 estimator loop: draw `n` configurations from `rng` and
+/// score each at every kernel's D into the matching accumulator. Per-D
+/// invariants (sense path gain, threshold power) live in the kernels;
+/// the kernel contract keeps every score bitwise equal to the per-method
+/// `TwoPairScenario` path. Always inlined, so a one-point call compiles
+/// to a straight loop.
+#[inline(always)]
+fn score_ensemble(
+    params: &ModelParams,
+    rmax: f64,
+    kernels: &[TwoPairKernel],
+    accs: &mut [ChunkAccumulators],
+    n: u64,
+    mut rng: StdRng,
+) {
+    let Some(link_stage) = kernels.first() else {
+        return;
+    };
     for _ in 0..n {
         let pair1 = PairSample::sample_uniform(rmax, &mut rng);
         let pair2 = PairSample::sample_uniform(rmax, &mut rng);
         let shadows = ShadowDraws::sample(&params.prop, &mut rng);
-        let k = kernel.evaluate(pair1, pair2, &shadows);
-        mux.add(0.5 * (k.mux[0] + k.mux[1]));
-        conc.add(0.5 * (k.conc[0] + k.conc[1]));
-        if k.decision == wcs_capacity::twopair::CsDecision::Multiplex {
-            n_multiplex += 1;
+        let links = link_stage.links(pair1, pair2, &shadows);
+        for (kernel, acc) in kernels.iter().zip(accs.iter_mut()) {
+            acc.add(&kernel.score(&links));
         }
-        cs.add(0.5 * (k.cs[0] + k.cs[1]));
-        opt.add(k.c_max);
-        ub.add(0.5 * (k.ub[0] + k.ub[1]));
-    }
-
-    PolicyAverages {
-        multiplexing: mux.estimate(),
-        concurrency: conc.estimate(),
-        carrier_sense: cs.estimate(),
-        optimal: opt.estimate(),
-        upper_bound: ub.estimate(),
-        multiplex_fraction: n_multiplex as f64 / n as f64,
     }
 }
 
@@ -153,13 +202,8 @@ pub fn mc_averages_v2(
     n: u64,
     seed: u64,
 ) -> PolicyAverages {
-    let mut rng = split_rng(seed, 0x5ca1_ab1e);
-    let mut mux = MonteCarlo::new();
-    let mut conc = MonteCarlo::new();
-    let mut cs = MonteCarlo::new();
-    let mut opt = MonteCarlo::new();
-    let mut ub = MonteCarlo::new();
-    let mut n_multiplex = 0u64;
+    let mut rng = split_rng(seed, SERIAL_STREAM);
+    let mut acc = ChunkAccumulators::default();
     let kernel = TwoPairKernelV2::new(params.prop, params.cap, d, d_thresh);
     let mut z = [0.0f64; 5];
 
@@ -169,25 +213,9 @@ pub fn mc_averages_v2(
         // Batched raw-normal fill in ShadowDraws::sample's five-link
         // order; one generator word per draw (inverse-CDF sampler).
         params.prop.shadowing.fill_raw_normal_v2(&mut rng, &mut z);
-        let k = kernel.evaluate(pair1, pair2, &z);
-        mux.add(0.5 * (k.mux[0] + k.mux[1]));
-        conc.add(0.5 * (k.conc[0] + k.conc[1]));
-        if k.decision == wcs_capacity::twopair::CsDecision::Multiplex {
-            n_multiplex += 1;
-        }
-        cs.add(0.5 * (k.cs[0] + k.cs[1]));
-        opt.add(k.c_max);
-        ub.add(0.5 * (k.ub[0] + k.ub[1]));
+        acc.add(&kernel.evaluate(pair1, pair2, &z));
     }
-
-    PolicyAverages {
-        multiplexing: mux.estimate(),
-        concurrency: conc.estimate(),
-        carrier_sense: cs.estimate(),
-        optimal: opt.estimate(),
-        upper_bound: ub.estimate(),
-        multiplex_fraction: n_multiplex as f64 / n as f64,
-    }
+    acc.finish()
 }
 
 /// Number of independent sample chunks the parallel path decomposes an
@@ -213,27 +241,12 @@ pub fn mc_chunk(
     // Chunk sample counts: near-equal split, remainder on the low chunks.
     let base = n_total / PAR_CHUNKS;
     let n = base + u64::from(chunk < n_total % PAR_CHUNKS);
-    let mut rng = split_rng(seed, 0xC4_0000 | chunk);
-    let mut acc = ChunkAccumulators::default();
-    let kernel = TwoPairKernel::new(params.prop, params.cap, d, d_thresh);
-    for _ in 0..n {
-        let pair1 = PairSample::sample_uniform(rmax, &mut rng);
-        let pair2 = PairSample::sample_uniform(rmax, &mut rng);
-        let shadows = ShadowDraws::sample(&params.prop, &mut rng);
-        let k = kernel.evaluate(pair1, pair2, &shadows);
-        acc.mux.add(0.5 * (k.mux[0] + k.mux[1]));
-        acc.conc.add(0.5 * (k.conc[0] + k.conc[1]));
-        if k.decision == wcs_capacity::twopair::CsDecision::Multiplex {
-            acc.n_multiplex += 1;
-        }
-        acc.cs.add(0.5 * (k.cs[0] + k.cs[1]));
-        acc.opt.add(k.c_max);
-        acc.ub.add(0.5 * (k.ub[0] + k.ub[1]));
-    }
-    acc
+    let rng = split_rng(seed, 0xC4_0000 | chunk);
+    mc_point(params, rmax, d, d_thresh, n, rng)
 }
 
-/// Per-chunk accumulators for the parallel Monte Carlo decomposition.
+/// Running accumulators of one estimate: a parallel chunk, a grid point
+/// or a whole serial run.
 #[derive(Debug, Clone, Default)]
 pub struct ChunkAccumulators {
     /// Multiplexing accumulator.
@@ -250,6 +263,32 @@ pub struct ChunkAccumulators {
     pub n_multiplex: u64,
 }
 
+impl ChunkAccumulators {
+    /// Fold in one configuration's scores; per-pair throughputs are
+    /// averaged over both pairs.
+    #[inline]
+    pub fn add(&mut self, k: &TwoPairSampleScores) {
+        self.mux.add(0.5 * (k.mux[0] + k.mux[1]));
+        self.conc.add(0.5 * (k.conc[0] + k.conc[1]));
+        self.cs.add(0.5 * (k.cs[0] + k.cs[1]));
+        self.opt.add(k.c_max);
+        self.ub.add(0.5 * (k.ub[0] + k.ub[1]));
+        self.n_multiplex += u64::from(k.decision == CsDecision::Multiplex);
+    }
+
+    /// The policy averages of every configuration added or merged in.
+    pub fn finish(&self) -> PolicyAverages {
+        PolicyAverages {
+            multiplexing: self.mux.estimate(),
+            concurrency: self.conc.estimate(),
+            carrier_sense: self.cs.estimate(),
+            optimal: self.opt.estimate(),
+            upper_bound: self.ub.estimate(),
+            multiplex_fraction: self.n_multiplex as f64 / self.mux.n() as f64,
+        }
+    }
+}
+
 /// Merge per-chunk accumulators — **in chunk order** — into the final
 /// policy averages. Welford merging is deterministic, so any execution
 /// that produces the same chunks yields bitwise-identical output here.
@@ -263,15 +302,7 @@ pub fn merge_chunks(chunks: &[ChunkAccumulators]) -> PolicyAverages {
         total.ub.merge(&c.ub);
         total.n_multiplex += c.n_multiplex;
     }
-    let n = total.mux.n();
-    PolicyAverages {
-        multiplexing: total.mux.estimate(),
-        concurrency: total.conc.estimate(),
-        carrier_sense: total.cs.estimate(),
-        optimal: total.opt.estimate(),
-        upper_bound: total.ub.estimate(),
-        multiplex_fraction: total.n_multiplex as f64 / n as f64,
-    }
+    total.finish()
 }
 
 /// Parallel Monte Carlo averages: the same estimator as [`mc_averages`]

@@ -63,6 +63,50 @@ pub fn cs_efficiency(
     }
 }
 
+/// One planned cell of an efficiency grid: its parameter point and the
+/// seed its estimate draws from. Planning fixes every seed up front, so
+/// running the tasks serially or on a pool yields the same cells.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EfficiencyTask {
+    params: ModelParams,
+    rmax: f64,
+    d: f64,
+    d_thresh: f64,
+    seed: u64,
+}
+
+impl EfficiencyTask {
+    /// Estimate this cell from `n` samples.
+    pub fn run(&self, n: u64) -> EfficiencyCell {
+        cs_efficiency(&self.params, self.rmax, self.d, self.d_thresh, n, self.seed)
+    }
+}
+
+/// The cells of [`efficiency_table`] in row-major order, each with its
+/// seed (`seed` + row-major cell index).
+pub fn plan_efficiency_table(
+    params: &ModelParams,
+    rmaxes: &[f64],
+    ds: &[f64],
+    thresholds: &[f64],
+    seed: u64,
+) -> Vec<EfficiencyTask> {
+    assert_eq!(rmaxes.len(), thresholds.len());
+    let mut tasks = Vec::with_capacity(rmaxes.len() * ds.len());
+    for (i, (&rmax, &d_thresh)) in rmaxes.iter().zip(thresholds).enumerate() {
+        for (j, &d) in ds.iter().enumerate() {
+            tasks.push(EfficiencyTask {
+                params: *params,
+                rmax,
+                d,
+                d_thresh,
+                seed: seed.wrapping_add((i * ds.len() + j) as u64),
+            });
+        }
+    }
+    tasks
+}
+
 /// Compute an efficiency table. `thresholds` gives the per-row threshold
 /// (one per Rmax; pass the same value everywhere for Table 1).
 pub fn efficiency_table(
@@ -73,22 +117,21 @@ pub fn efficiency_table(
     n: u64,
     seed: u64,
 ) -> EfficiencyTable {
-    assert_eq!(rmaxes.len(), thresholds.len());
-    let mut cells = Vec::with_capacity(rmaxes.len() * ds.len());
-    for (i, (&rmax, &thr)) in rmaxes.iter().zip(thresholds).enumerate() {
-        for (j, &d) in ds.iter().enumerate() {
-            let cell_seed = seed.wrapping_add((i * ds.len() + j) as u64);
-            cells.push(cs_efficiency(params, rmax, d, thr, n, cell_seed));
-        }
-    }
-    EfficiencyTable {
-        rmaxes: rmaxes.to_vec(),
-        ds: ds.to_vec(),
-        cells,
-    }
+    let tasks = plan_efficiency_table(params, rmaxes, ds, thresholds, seed);
+    EfficiencyTable::from_cells(rmaxes, ds, tasks.iter().map(|t| t.run(n)).collect())
 }
 
 impl EfficiencyTable {
+    /// Assemble a table from cells in [`plan_efficiency_table`] order.
+    pub fn from_cells(rmaxes: &[f64], ds: &[f64], cells: Vec<EfficiencyCell>) -> Self {
+        assert_eq!(cells.len(), rmaxes.len() * ds.len());
+        EfficiencyTable {
+            rmaxes: rmaxes.to_vec(),
+            ds: ds.to_vec(),
+            cells,
+        }
+    }
+
     /// Cell at (row = Rmax index, col = D index).
     pub fn cell(&self, row: usize, col: usize) -> &EfficiencyCell {
         &self.cells[row * self.ds.len() + col]

@@ -43,7 +43,8 @@ pub mod shadowing_example;
 pub mod threshold;
 
 pub use average::{
-    mc_averages, mc_averages_v2, quad_concurrency, quad_multiplexing, PolicyAverages,
+    mc_averages, mc_averages_grid, mc_averages_v2, quad_concurrency, quad_multiplexing,
+    PolicyAverages,
 };
 pub use curves::{throughput_curves, CurvePoint, ThroughputCurves};
 pub use efficiency::{cs_efficiency, efficiency_table, EfficiencyCell, EfficiencyTable};

@@ -4,7 +4,7 @@
 //! from 4 dB to 12 dB, but again, very little change is observed." This
 //! module regenerates those omitted sweeps so the claim is checkable.
 
-use crate::efficiency::{cs_efficiency, EfficiencyCell};
+use crate::efficiency::{plan_efficiency_table, EfficiencyCell, EfficiencyTask};
 use crate::params::ModelParams;
 use serde::{Deserialize, Serialize};
 
@@ -43,37 +43,62 @@ pub fn fixed_power_threshold_distance(alpha: f64) -> f64 {
     55f64.powf(3.0 / alpha)
 }
 
-/// Sweep α × σ over the paper's standard grid (Rmax ∈ {20, 40, 120},
-/// D ∈ {20, 55, 120}), holding the sensed-power threshold at the paper's
-/// 13 dB factory value.
-pub fn sweep_alpha_sigma(alphas: &[f64], sigmas: &[f64], n: u64, seed: u64) -> Vec<SweepRow> {
-    let rmaxes = [20.0, 40.0, 120.0];
-    let ds = [20.0, 55.0, 120.0];
-    let mut rows = Vec::new();
+/// The paper's standard efficiency grid: Rmax ∈ {20, 40, 120} rows,
+/// D ∈ {20, 55, 120} columns.
+const GRID_RMAXES: [f64; 3] = [20.0, 40.0, 120.0];
+const GRID_DS: [f64; 3] = [20.0, 55.0, 120.0];
+
+/// The cells of [`sweep_alpha_sigma`]: one (α, σ) row after another
+/// (α-major), each row the nine standard-grid cells with their seeds.
+pub fn plan_alpha_sigma(alphas: &[f64], sigmas: &[f64], seed: u64) -> Vec<EfficiencyTask> {
+    let mut tasks = Vec::new();
     for (ai, &alpha) in alphas.iter().enumerate() {
         for (si, &sigma) in sigmas.iter().enumerate() {
             let params = ModelParams::paper_default()
                 .with_alpha(alpha)
                 .with_sigma_db(sigma);
             let d_thresh = fixed_power_threshold_distance(alpha);
-            let mut cells = Vec::new();
-            for (i, &rmax) in rmaxes.iter().enumerate() {
-                for (j, &d) in ds.iter().enumerate() {
-                    let cell_seed = seed
-                        .wrapping_add((ai as u64) << 24)
-                        .wrapping_add((si as u64) << 16)
-                        .wrapping_add((i * 3 + j) as u64);
-                    cells.push(cs_efficiency(&params, rmax, d, d_thresh, n, cell_seed));
-                }
-            }
-            rows.push(SweepRow {
-                alpha,
-                sigma_db: sigma,
-                cells,
-            });
+            let row_seed = seed
+                .wrapping_add((ai as u64) << 24)
+                .wrapping_add((si as u64) << 16);
+            tasks.extend(plan_efficiency_table(
+                &params,
+                &GRID_RMAXES,
+                &GRID_DS,
+                &[d_thresh; 3],
+                row_seed,
+            ));
         }
     }
-    rows
+    tasks
+}
+
+/// Assemble sweep rows from cells in [`plan_alpha_sigma`] order.
+pub fn sweep_rows(alphas: &[f64], sigmas: &[f64], cells: &[EfficiencyCell]) -> Vec<SweepRow> {
+    let per_row = GRID_RMAXES.len() * GRID_DS.len();
+    assert_eq!(cells.len(), alphas.len() * sigmas.len() * per_row);
+    let labels = alphas
+        .iter()
+        .flat_map(|&alpha| sigmas.iter().map(move |&sigma| (alpha, sigma)));
+    labels
+        .zip(cells.chunks(per_row))
+        .map(|((alpha, sigma_db), cells)| SweepRow {
+            alpha,
+            sigma_db,
+            cells: cells.to_vec(),
+        })
+        .collect()
+}
+
+/// Sweep α × σ over the paper's standard grid (Rmax ∈ {20, 40, 120},
+/// D ∈ {20, 55, 120}), holding the sensed-power threshold at the paper's
+/// 13 dB factory value.
+pub fn sweep_alpha_sigma(alphas: &[f64], sigmas: &[f64], n: u64, seed: u64) -> Vec<SweepRow> {
+    let cells: Vec<EfficiencyCell> = plan_alpha_sigma(alphas, sigmas, seed)
+        .iter()
+        .map(|t| t.run(n))
+        .collect();
+    sweep_rows(alphas, sigmas, &cells)
 }
 
 /// The spread (max − min) of mean efficiency across a sweep — the paper's

@@ -9,7 +9,7 @@
 //! averages, which remains the natural compromise and reproduces the
 //! paper's Table 2 thresholds.
 
-use crate::average::{mc_averages, quad_concurrency, quad_multiplexing};
+use crate::average::{mc_averages_grid, quad_concurrency, quad_multiplexing};
 use crate::params::ModelParams;
 use wcs_stats::interp::LinearInterp;
 use wcs_stats::rootfind::brent;
@@ -73,7 +73,11 @@ pub fn optimal_threshold_sigma0(
 /// Monte Carlo ⟨C_concurrent⟩(D) − ⟨C_multiplexing⟩ difference on a log
 /// grid and interpolating the sign change.
 ///
-/// `n_per_point` samples are drawn per grid point with common seeds.
+/// The grid uses one common ensemble of `n_per_point` configurations,
+/// drawn once and scored at all 48 grid points ([`mc_averages_grid`]):
+/// the difference curve is smooth in D rather than jittered
+/// point-to-point, and each point is bitwise the standalone
+/// `mc_averages` at that D with the same seed.
 pub fn optimal_threshold(
     params: &ModelParams,
     rmax: f64,
@@ -86,18 +90,18 @@ pub fn optimal_threshold(
     let d_lo = 1.0;
     let d_hi = 20.0 * rmax + 1000.0;
     let n_grid = 48;
-    let mut xs = Vec::with_capacity(n_grid);
-    let mut ys = Vec::with_capacity(n_grid);
-    for i in 0..n_grid {
-        let t = i as f64 / (n_grid - 1) as f64;
-        let d = d_lo * (d_hi / d_lo).powf(t);
-        // Use the SAME seed at every grid point: the configuration
-        // ensemble is identical across D, so the difference curve is
-        // smooth in D rather than jittered point-to-point.
-        let avg = mc_averages(params, rmax, d, 55.0, n_per_point, seed);
-        xs.push(d.ln());
-        ys.push(avg.concurrency.mean - avg.multiplexing.mean);
-    }
+    let ds: Vec<f64> = (0..n_grid)
+        .map(|i| {
+            let t = i as f64 / (n_grid - 1) as f64;
+            d_lo * (d_hi / d_lo).powf(t)
+        })
+        .collect();
+    let avgs = mc_averages_grid(params, rmax, &ds, 55.0, n_per_point, seed);
+    let xs: Vec<f64> = ds.iter().map(|d| d.ln()).collect();
+    let ys: Vec<f64> = avgs
+        .iter()
+        .map(|avg| avg.concurrency.mean - avg.multiplexing.mean)
+        .collect();
     if ys[0] > 0.0 && *ys.last().unwrap() > 0.0 {
         return ThresholdSolve::ConcurrencyAlways;
     }

@@ -47,9 +47,16 @@ impl Point2 {
 /// Δr = √[(r·cosθ + D)² + (r·sinθ)²].
 #[inline]
 pub fn interferer_distance(r: f64, theta: f64, d: f64) -> f64 {
-    let dx = r * theta.cos() + d;
-    let dy = r * theta.sin();
-    (dx * dx + dy * dy).sqrt()
+    interferer_distance_xy(r * theta.cos(), r * theta.sin(), d)
+}
+
+/// [`interferer_distance`] from the receiver's cartesian offset
+/// (x, y) = (r·cosθ, r·sinθ) around its sender, for callers that score
+/// one placement at many D: Δr = √[(x + D)² + y²].
+#[inline]
+pub fn interferer_distance_xy(x: f64, y: f64, d: f64) -> f64 {
+    let dx = x + d;
+    (dx * dx + y * y).sqrt()
 }
 
 #[cfg(test)]

@@ -293,6 +293,19 @@ impl Event {
     pub fn str_field(&self, key: &str) -> Option<&str> {
         self.field(key).and_then(Value::as_str)
     }
+
+    /// The phase this event's time is reported under by `trace
+    /// summarize` and `trace diff`: its name, except that
+    /// `run.experiment` spans split per experiment as
+    /// `run.experiment[<name>]`.
+    pub fn phase(&self) -> std::borrow::Cow<'_, str> {
+        match self.str_field("name") {
+            Some(experiment) if self.name == "run.experiment" => {
+                format!("run.experiment[{experiment}]").into()
+            }
+            _ => self.name.as_str().into(),
+        }
+    }
 }
 
 /// An event sink. Implementations must be thread-safe: the engine emits

@@ -74,7 +74,7 @@ struct ShardRow {
 
 /// Render the human summary of a parsed run log.
 pub fn summarize(log: &RunLog) -> String {
-    let mut spans: BTreeMap<&str, SpanStats> = BTreeMap::new();
+    let mut spans: BTreeMap<std::borrow::Cow<'_, str>, SpanStats> = BTreeMap::new();
     let mut counters: BTreeMap<&str, CounterStats> = BTreeMap::new();
     let mut shards: BTreeMap<u64, ShardRow> = BTreeMap::new();
     // Dispatcher per-host tallies, plus the run-wide requeue count
@@ -95,7 +95,7 @@ pub fn summarize(log: &RunLog) -> String {
         match e.kind {
             EventKind::SpanExit => {
                 if let Some(d) = e.u64_field("dur_ns") {
-                    let s = spans.entry(e.name.as_str()).or_default();
+                    let s = spans.entry(e.phase()).or_default();
                     s.count += 1;
                     s.total_ns += d;
                     s.max_ns = s.max_ns.max(d);
