@@ -67,12 +67,13 @@
 //! merges their partial reports in task-index order; the merged output is
 //! bitwise identical to a single-process `sweep` run at any
 //! shard count × thread count. `shard run` drives the whole
-//! plan → worker → merge pipeline with local subprocesses. Workers cache
-//! their per-shard partials in the shared result cache, so re-running a
-//! plan after a lost worker only recomputes the lost shard.
+//! plan → worker → merge pipeline with local subprocesses: it is
+//! `dispatch run` onto K local slots, with its own summary line. Workers
+//! cache their per-shard partials in the shared result cache, so
+//! re-running a plan after a lost worker only recomputes the lost shard.
 //!
-//! `dispatch run` is the production big sibling of `shard run`: a
-//! `wcs-dispatch` state machine deals the shards to a pool of host
+//! `dispatch run` is the general form: a `wcs-dispatch` state machine
+//! deals the shards to a pool of host
 //! slots (`--hosts FILE`, or K local subprocess slots by default),
 //! watches per-worker heartbeat files, requeues shards whose workers
 //! die or go silent, and retries transient spawn failures with capped
@@ -418,8 +419,9 @@ const SHARD_USAGE: &str = "usage: repro shard plan   <scenario|--spec FILE> -k K
        repro shard merge  <dir> [--csv|--json] [--cache-dir DIR|--no-cache]
        repro shard run    <scenario|--spec FILE> -k K [--strategy S] [--dir DIR] [--threads N] [--stream-layout v1|v2] [--csv|--json] [--cache-dir DIR|--no-cache]";
 
-/// Shared flag soup for the `shard` subcommands. Every field is optional
-/// at parse time; each subcommand enforces what it needs.
+/// Shared flag soup for the `shard` and `dispatch` subcommands. Every
+/// field is optional at parse time; each subcommand enforces what it
+/// needs.
 struct ShardArgs {
     sources: Vec<SweepSource>,
     k: Option<usize>,
@@ -433,6 +435,10 @@ struct ShardArgs {
     heartbeat_ms: u64,
     format: String,
     stream_layout: Option<StreamLayout>,
+    hosts: Option<PathBuf>,
+    faults: Vec<String>,
+    /// `dispatch run`'s `--max-retries` and `--heartbeat-timeout`.
+    dispatch: wcs_dispatch::DispatchOptions,
 }
 
 impl ShardArgs {
@@ -452,7 +458,12 @@ impl ShardArgs {
     }
 }
 
-fn parse_shard_args(mut args: Vec<String>) -> ShardArgs {
+/// Parse the flags of a `shard` verb, or of `dispatch run` when
+/// `dispatch` is set. Each flag is accepted where it was documented:
+/// `--hosts`, `--fault`, `--max-retries` and `--heartbeat-timeout` only
+/// by `dispatch run`; `--out`, `--heartbeat` and `--stream-layout` only
+/// by the `shard` verbs.
+fn parse_shard_args(mut args: Vec<String>, dispatch: bool) -> ShardArgs {
     let mut parsed = ShardArgs {
         sources: Vec::new(),
         k: None,
@@ -466,6 +477,9 @@ fn parse_shard_args(mut args: Vec<String>) -> ShardArgs {
         heartbeat_ms: 0,
         format: "render".to_string(),
         stream_layout: None,
+        hosts: None,
+        faults: Vec::new(),
+        dispatch: wcs_dispatch::DispatchOptions::default(),
     };
     while !args.is_empty() {
         let arg = args.remove(0);
@@ -486,7 +500,7 @@ fn parse_shard_args(mut args: Vec<String>) -> ShardArgs {
                 let v = take_flag_value(&mut args, "--dir");
                 parsed.dir = Some(PathBuf::from(v));
             }
-            "--out" => {
+            "--out" if !dispatch => {
                 let v = take_flag_value(&mut args, "--out");
                 parsed.out = Some(PathBuf::from(v));
             }
@@ -505,7 +519,7 @@ fn parse_shard_args(mut args: Vec<String>) -> ShardArgs {
                 let v = take_flag_value(&mut args, "--cache-dir");
                 parsed.cache_dir = Some(PathBuf::from(v));
             }
-            "--heartbeat" => {
+            "--heartbeat" if !dispatch => {
                 let v = take_flag_value(&mut args, "--heartbeat");
                 parsed.heartbeat = Some(PathBuf::from(v));
             }
@@ -514,16 +528,40 @@ fn parse_shard_args(mut args: Vec<String>) -> ShardArgs {
                 parsed.heartbeat_ms = v.parse().unwrap_or_else(|_| {
                     usage_exit("--heartbeat-ms needs an integer");
                 });
+                if dispatch && parsed.heartbeat_ms == 0 {
+                    usage_exit("--heartbeat-ms needs a positive integer");
+                }
             }
             "--csv" => parsed.format = "csv".to_string(),
             "--json" => parsed.format = "json".to_string(),
-            "--stream-layout" => {
+            "--stream-layout" if !dispatch => {
                 let v = take_flag_value(&mut args, "--stream-layout");
                 parsed.stream_layout = Some(parse_stream_layout(&v));
             }
+            "--hosts" if dispatch => {
+                parsed.hosts = Some(PathBuf::from(take_flag_value(&mut args, "--hosts")))
+            }
+            "--fault" if dispatch => parsed.faults.push(take_flag_value(&mut args, "--fault")),
+            "--max-retries" if dispatch => {
+                parsed.dispatch.max_retries = take_flag_value(&mut args, "--max-retries")
+                    .parse()
+                    .unwrap_or_else(|_| usage_exit("--max-retries needs an integer"));
+            }
+            "--heartbeat-timeout" if dispatch => {
+                let v = take_flag_value(&mut args, "--heartbeat-timeout");
+                let secs: f64 = v.parse().ok().filter(|s| *s > 0.0).unwrap_or_else(|| {
+                    usage_exit("--heartbeat-timeout needs a positive number of seconds");
+                });
+                parsed.dispatch.heartbeat_timeout = std::time::Duration::from_secs_f64(secs);
+            }
             flag if flag.starts_with('-') => {
-                eprintln!("unknown flag '{flag}' for repro shard");
-                usage_exit(SHARD_USAGE);
+                let (verb, usage) = if dispatch {
+                    ("dispatch", DISPATCH_USAGE)
+                } else {
+                    ("shard", SHARD_USAGE)
+                };
+                eprintln!("unknown flag '{flag}' for repro {verb}");
+                usage_exit(usage);
             }
             _ => parsed.sources.push(SweepSource::Named(arg)),
         }
@@ -534,17 +572,15 @@ fn parse_shard_args(mut args: Vec<String>) -> ShardArgs {
 fn single_source<'a>(parsed: &'a ShardArgs, what: &str) -> &'a SweepSource {
     match parsed.sources.as_slice() {
         [one] => one,
-        [] => usage_exit(&format!(
-            "shard {what} needs a scenario name or --spec FILE"
-        )),
-        _ => usage_exit(&format!("shard {what} takes exactly one scenario")),
+        [] => usage_exit(&format!("{what} needs a scenario name or --spec FILE")),
+        _ => usage_exit(&format!("{what} takes exactly one scenario")),
     }
 }
 
-fn require_k(parsed: &ShardArgs) -> usize {
+fn require_k(parsed: &ShardArgs, what: &str) -> usize {
     match parsed.k {
         Some(k) if k >= 1 => k,
-        _ => usage_exit("shard plan/run need -k K (K >= 1)"),
+        _ => usage_exit(&format!("{what} needs -k K (K >= 1)")),
     }
 }
 
@@ -569,14 +605,14 @@ fn run_shard_cmd(mut args: Vec<String>, effort: Effort) -> ! {
         usage_exit(SHARD_USAGE);
     }
     let verb = args.remove(0);
-    let parsed = parse_shard_args(args);
+    let parsed = parse_shard_args(args, false);
     match verb.as_str() {
         "plan" => {
             let workload = apply_stream_layout(
-                resolve_workload(single_source(&parsed, "plan"), effort),
+                resolve_workload(single_source(&parsed, "shard plan"), effort),
                 parsed.stream_layout,
             );
-            let k = require_k(&parsed);
+            let k = require_k(&parsed, "shard plan");
             let dir = parsed
                 .dir
                 .clone()
@@ -599,7 +635,7 @@ fn run_shard_cmd(mut args: Vec<String>, effort: Effort) -> ! {
             if parsed.stream_layout.is_some() {
                 usage_exit("--stream-layout applies to shard plan/run (the manifest embeds it)");
             }
-            let manifest_file = match single_source(&parsed, "worker") {
+            let manifest_file = match single_source(&parsed, "shard worker") {
                 SweepSource::Named(p) => PathBuf::from(p),
                 SweepSource::SpecFile(_) => usage_exit("shard worker takes a manifest path"),
             };
@@ -645,7 +681,7 @@ fn run_shard_cmd(mut args: Vec<String>, effort: Effort) -> ! {
             if parsed.stream_layout.is_some() {
                 usage_exit("--stream-layout applies to shard plan/run (the manifest embeds it)");
             }
-            let dir = match single_source(&parsed, "merge") {
+            let dir = match single_source(&parsed, "shard merge") {
                 SweepSource::Named(p) => PathBuf::from(p),
                 SweepSource::SpecFile(_) => usage_exit("shard merge takes a plan directory"),
             };
@@ -664,57 +700,7 @@ fn run_shard_cmd(mut args: Vec<String>, effort: Effort) -> ! {
                 if parsed.use_cache { ", cached" } else { "" }
             );
         }
-        "run" => {
-            let workload = apply_stream_layout(
-                resolve_workload(single_source(&parsed, "run"), effort),
-                parsed.stream_layout,
-            );
-            let k = require_k(&parsed);
-            let t0 = std::time::Instant::now();
-            let (dir, ephemeral) = match parsed.dir.clone() {
-                Some(d) => (d, false),
-                None => (
-                    std::env::temp_dir().join(format!(
-                        "wcs-shard-run-{}-{:016x}",
-                        std::process::id(),
-                        workload.scenario_hash()
-                    )),
-                    true,
-                ),
-            };
-            let exe = std::env::current_exe().unwrap_or_else(|e| fail(e));
-            let cache = parsed.cache();
-            let cache_ref = cache.as_ref();
-            let outcome = wcs_shard::run_local_with(
-                &dir,
-                workload.clone(),
-                k,
-                parsed.strategy,
-                &exe,
-                parsed.threads,
-                cache_ref,
-                wcs_shard::RunLocalOptions {
-                    strict_cache: STRICT_CACHE.load(Ordering::Relaxed),
-                    // When this process logs telemetry to a file, have
-                    // each worker write its own run log into the plan
-                    // directory and fold the fleet's events into ours.
-                    worker_telemetry: TELEMETRY_FILE.load(Ordering::Relaxed),
-                },
-            )
-            .unwrap_or_else(|e| fail(e));
-            print_report(&outcome.report, &parsed.format);
-            eprintln!(
-                "[shard run {} ({}): {k} workers ({}), {} tasks, {:.1}s]",
-                workload.name(),
-                workload.kind(),
-                parsed.strategy.label(),
-                workload.task_count(),
-                t0.elapsed().as_secs_f64()
-            );
-            if ephemeral {
-                let _ = std::fs::remove_dir_all(&dir);
-            }
-        }
+        "run" => run_fleet(&parsed, effort, "shard run"),
         other => {
             eprintln!("unknown shard subcommand '{other}'");
             usage_exit(SHARD_USAGE);
@@ -737,90 +723,22 @@ fn run_dispatch_cmd(mut args: Vec<String>, effort: Effort) -> ! {
         eprintln!("unknown dispatch subcommand '{verb}'");
         usage_exit(DISPATCH_USAGE);
     }
-    let mut options = wcs_dispatch::DispatchOptions {
-        strict_cache: STRICT_CACHE.load(Ordering::Relaxed),
-        worker_telemetry: TELEMETRY_FILE.load(Ordering::Relaxed),
-        ..Default::default()
-    };
-    let mut sources: Vec<SweepSource> = Vec::new();
-    let mut k: Option<usize> = None;
-    let mut strategy = ShardStrategy::Contiguous;
-    let mut dir: Option<PathBuf> = None;
-    let mut hosts: Option<PathBuf> = None;
-    let mut use_cache = true;
-    let mut cache_dir: Option<PathBuf> = None;
-    let mut format = "render".to_string();
-    let mut faults: Vec<String> = Vec::new();
-    while !args.is_empty() {
-        let arg = args.remove(0);
-        match arg.as_str() {
-            "-k" | "--shards" => {
-                let v = take_flag_value(&mut args, "-k");
-                k = Some(v.parse().unwrap_or_else(|_| {
-                    usage_exit("-k needs a positive integer");
-                }));
-            }
-            "--strategy" => {
-                let v = take_flag_value(&mut args, "--strategy");
-                strategy = ShardStrategy::parse(&v).unwrap_or_else(|| {
-                    usage_exit(&format!("unknown strategy '{v}' (contiguous or strided)"));
-                });
-            }
-            "--dir" => dir = Some(PathBuf::from(take_flag_value(&mut args, "--dir"))),
-            "--hosts" => hosts = Some(PathBuf::from(take_flag_value(&mut args, "--hosts"))),
-            "--threads" => {
-                options.threads_per_worker = take_flag_value(&mut args, "--threads")
-                    .parse()
-                    .unwrap_or_else(|_| usage_exit("--threads needs an integer"));
-            }
-            "--max-retries" => {
-                options.max_retries = take_flag_value(&mut args, "--max-retries")
-                    .parse()
-                    .unwrap_or_else(|_| usage_exit("--max-retries needs an integer"));
-            }
-            "--heartbeat-timeout" => {
-                let v = take_flag_value(&mut args, "--heartbeat-timeout");
-                let secs: f64 = v.parse().ok().filter(|s| *s > 0.0).unwrap_or_else(|| {
-                    usage_exit("--heartbeat-timeout needs a positive number of seconds");
-                });
-                options.heartbeat_timeout = std::time::Duration::from_secs_f64(secs);
-            }
-            "--heartbeat-ms" => {
-                options.heartbeat_ms = take_flag_value(&mut args, "--heartbeat-ms")
-                    .parse()
-                    .ok()
-                    .filter(|ms| *ms > 0)
-                    .unwrap_or_else(|| usage_exit("--heartbeat-ms needs a positive integer"));
-            }
-            "--fault" => faults.push(take_flag_value(&mut args, "--fault")),
-            "--spec" => {
-                let v = take_flag_value(&mut args, "--spec");
-                sources.push(SweepSource::SpecFile(PathBuf::from(v)));
-            }
-            "--no-cache" => use_cache = false,
-            "--cache-dir" => {
-                cache_dir = Some(PathBuf::from(take_flag_value(&mut args, "--cache-dir")))
-            }
-            "--csv" => format = "csv".to_string(),
-            "--json" => format = "json".to_string(),
-            flag if flag.starts_with('-') => {
-                eprintln!("unknown flag '{flag}' for repro dispatch");
-                usage_exit(DISPATCH_USAGE);
-            }
-            _ => sources.push(SweepSource::Named(arg)),
-        }
-    }
-    let source = match sources.as_slice() {
-        [one] => one,
-        [] => usage_exit("dispatch run needs a scenario name or --spec FILE"),
-        _ => usage_exit("dispatch run takes exactly one scenario"),
-    };
-    let workload = resolve_workload(source, effort);
-    let k = match k {
-        Some(k) if k >= 1 => k,
-        _ => usage_exit("dispatch run needs -k K (K >= 1)"),
-    };
-    let pool = match &hosts {
+    run_fleet(&parse_shard_args(args, true), effort, "dispatch run");
+}
+
+/// The one body behind `shard run` and `dispatch run`: plan the workload
+/// and dispatch it onto the `--hosts` pool (K local subprocess slots by
+/// default), print the merged report, record the run in the run history,
+/// print the verb's summary line on stderr, and exit. A shard that
+/// exhausts its retry budget exits 2 with the structured `dispatch gave
+/// up on shard ...` message; any other failure exits 1.
+fn run_fleet(parsed: &ShardArgs, effort: Effort, verb: &str) -> ! {
+    let workload = apply_stream_layout(
+        resolve_workload(single_source(parsed, verb), effort),
+        parsed.stream_layout,
+    );
+    let k = require_k(parsed, verb);
+    let pool = match &parsed.hosts {
         Some(path) => {
             wcs_dispatch::HostPool::load(path).unwrap_or_else(|e| usage_exit(&e.to_string()))
         }
@@ -832,73 +750,43 @@ fn run_dispatch_cmd(mut args: Vec<String>, effort: Effort) -> ! {
     }
     let exe = std::env::current_exe().unwrap_or_else(|e| fail(e));
     let base: Box<dyn wcs_dispatch::Transport> = Box::new(wcs_dispatch::SshExec::new(exe));
-    let transport: Box<dyn wcs_dispatch::Transport> = if faults.is_empty() {
+    let transport: Box<dyn wcs_dispatch::Transport> = if parsed.faults.is_empty() {
         base
     } else {
         let mut faulty = wcs_dispatch::FaultyTransport::new(base);
-        for spec in &faults {
+        for spec in &parsed.faults {
             faulty.add_spec(spec).unwrap_or_else(|e| usage_exit(&e));
         }
         Box::new(faulty)
     };
-    let (dir, ephemeral) = match dir {
+    let options = wcs_dispatch::DispatchOptions {
+        threads_per_worker: parsed.threads,
+        heartbeat_ms: Some(parsed.heartbeat_ms)
+            .filter(|&ms| ms > 0)
+            .unwrap_or(parsed.dispatch.heartbeat_ms),
+        strict_cache: STRICT_CACHE.load(Ordering::Relaxed),
+        // With a --telemetry file, each worker writes its own run log
+        // into the plan directory and the fleet's events fold into ours.
+        worker_telemetry: TELEMETRY_FILE.load(Ordering::Relaxed),
+        ..parsed.dispatch.clone()
+    };
+    let (dir, ephemeral) = match parsed.dir.clone() {
         Some(d) => (d, false),
         None => (
             std::env::temp_dir().join(format!(
-                "wcs-dispatch-run-{}-{:016x}",
+                "wcs-{}-{}-{:016x}",
+                verb.replace(' ', "-"),
                 std::process::id(),
                 workload.scenario_hash()
             )),
             true,
         ),
     };
-    let cache = if use_cache {
-        Some(match &cache_dir {
-            Some(d) => ResultCache::new(d.clone()),
-            None => ResultCache::default_location(),
-        })
-    } else {
-        None
-    };
+    let cache = parsed.cache();
     let t0 = std::time::Instant::now();
     let dispatcher = wcs_dispatch::Dispatcher::new(transport.as_ref(), &pool, options);
-    match dispatcher.run(&dir, workload.clone(), k, strategy, cache.as_ref()) {
-        Ok(outcome) => {
-            print_report(&outcome.merge.report, &format);
-            // Dispatch runs land in the run history like sweeps do; the
-            // merge already stored the full report under the single-run
-            // cache key, so history and cache agree on identity.
-            if let Some(c) = &cache {
-                let wall_ns = t0.elapsed().as_nanos() as u64;
-                let run_outcome = wcs_runtime::workload::WorkloadOutcome {
-                    report: outcome.merge.report.clone(),
-                    cache_hit: false,
-                    tasks_run: workload.task_count(),
-                    store_failed: false,
-                };
-                wcs_runtime::history::append_run_manifest(
-                    c as &dyn wcs_runtime::ResultIndex,
-                    &workload,
-                    &run_outcome,
-                    wall_ns,
-                );
-            }
-            eprintln!(
-                "[dispatch {} ({}): {k} shards over {} slots, {} assigns, {} requeues, {} retries, {} deaths, {:.1}s]",
-                workload.name(),
-                workload.kind(),
-                pool.total_slots(),
-                outcome.stats.assignments,
-                outcome.stats.requeues,
-                outcome.stats.retries,
-                outcome.stats.deaths,
-                t0.elapsed().as_secs_f64()
-            );
-            if ephemeral {
-                let _ = std::fs::remove_dir_all(&dir);
-            }
-            finish(0);
-        }
+    let outcome = match dispatcher.run(&dir, workload.clone(), k, parsed.strategy, cache.as_ref()) {
+        Ok(outcome) => outcome,
         Err(e @ wcs_dispatch::DispatchError::Exhausted { .. }) => {
             // The structured give-up: exit 2 so callers can tell "a
             // shard ran out of retries" from infrastructure errors.
@@ -907,7 +795,51 @@ fn run_dispatch_cmd(mut args: Vec<String>, effort: Effort) -> ! {
             std::process::exit(2);
         }
         Err(e) => fail(e),
+    };
+    print_report(&outcome.merge.report, &parsed.format);
+    // Fleet runs land in the run history like sweeps do; the merge
+    // already stored the full report under the single-run cache key, so
+    // history and cache agree on identity.
+    if let Some(c) = &cache {
+        let run_outcome = wcs_runtime::workload::WorkloadOutcome {
+            report: outcome.merge.report.clone(),
+            cache_hit: false,
+            tasks_run: workload.task_count(),
+            store_failed: false,
+        };
+        wcs_runtime::history::append_run_manifest(
+            c as &dyn wcs_runtime::ResultIndex,
+            &workload,
+            &run_outcome,
+            t0.elapsed().as_nanos() as u64,
+        );
     }
+    let secs = t0.elapsed().as_secs_f64();
+    let stats = outcome.stats;
+    if verb == "shard run" {
+        eprintln!(
+            "[shard run {} ({}): {k} workers ({}), {} tasks, {secs:.1}s]",
+            workload.name(),
+            workload.kind(),
+            parsed.strategy.label(),
+            workload.task_count(),
+        );
+    } else {
+        eprintln!(
+            "[dispatch {} ({}): {k} shards over {} slots, {} assigns, {} requeues, {} retries, {} deaths, {secs:.1}s]",
+            workload.name(),
+            workload.kind(),
+            pool.total_slots(),
+            stats.assignments,
+            stats.requeues,
+            stats.retries,
+            stats.deaths,
+        );
+    }
+    if ephemeral {
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    finish(0);
 }
 
 fn human_size(bytes: u64) -> String {

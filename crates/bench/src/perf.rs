@@ -49,7 +49,7 @@ pub const DEFAULT_OUT: &str = "BENCH_10.json";
 /// The fixed bench-name set the suite emits, in emission order. Pinned
 /// by tests; extend deliberately (the CI baseline must be refreshed in
 /// the same change).
-pub const BENCH_NAMES: [&str; 16] = [
+pub const BENCH_NAMES: [&str; 15] = [
     "calib_splitmix_loop",
     "twopair_sample_naive",
     "twopair_sample_kernel",
@@ -64,7 +64,6 @@ pub const BENCH_NAMES: [&str; 16] = [
     "sim_sweep_small",
     "telemetry_overhead_off",
     "telemetry_overhead_on",
-    "shard_run_local_k2",
     "dispatch_local_k2",
 ];
 
@@ -465,11 +464,11 @@ pub fn run_suite(mode: BenchMode) -> BenchReport {
         },
     ));
 
-    // Dispatch-overhead pair: the same tiny sweep split into k=2 shards,
-    // run through the plain local shard driver and through the full
-    // dispatcher (heartbeats, liveness polling, requeue machinery).
-    // Both spawn real `repro shard worker` subprocesses via the current
-    // executable, so their ratio isolates the dispatcher's bookkeeping.
+    // The subprocess path end to end: a tiny sweep split into k=2
+    // shards, dispatched onto two local slots of real `repro shard
+    // worker` subprocesses via the current executable — what `repro
+    // shard run -k 2` does, so its per-run fixed costs (spawn, heartbeat,
+    // exit wake-up, merge) show here.
     let bench_sweep = |tag: &str, salt: u64, rep: u64| {
         Sweep::new(tag)
             .rmaxes(&[40.0])
@@ -478,32 +477,9 @@ pub fn run_suite(mode: BenchMode) -> BenchReport {
             .samples(400)
             .seed((43 ^ salt) + rep)
     };
-    benches.push(run_bench("shard_run_local_k2", mode, 1, |iters, salt| {
-        let exe = std::env::current_exe().expect("current_exe");
-        let mut acc = 0.0;
-        for rep in 0..iters {
-            let dir = std::env::temp_dir().join(format!(
-                "wcs-bench-shard-{}-{salt:x}-{rep}",
-                std::process::id()
-            ));
-            let out = wcs_shard::run_local(
-                &dir,
-                bench_sweep("bench-shard-local", salt, rep),
-                2,
-                wcs_shard::ShardStrategy::Contiguous,
-                &exe,
-                1,
-                None,
-            )
-            .expect("shard run_local");
-            acc += out.report.rows.len() as f64;
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-        acc
-    }));
     benches.push(run_bench("dispatch_local_k2", mode, 1, |iters, salt| {
         let exe = std::env::current_exe().expect("current_exe");
-        let transport = wcs_dispatch::LocalExec::new(&exe);
+        let transport = wcs_dispatch::SshExec::new(&exe);
         let pool = wcs_dispatch::HostPool::local(2);
         let mut acc = 0.0;
         for rep in 0..iters {
@@ -583,16 +559,6 @@ pub fn run_suite(mode: BenchMode) -> BenchReport {
             "telemetry_off",
             "telemetry_overhead_on",
             "telemetry_overhead_off",
-        ),
-        // Informational (never gated): how much slower the dispatcher's
-        // heartbeat/requeue machinery makes a k=2 local run compared to
-        // the plain shard driver. Subprocess spawn noise dominates, so
-        // this records the overhead rather than enforcing a bound.
-        speedup(
-            &benches,
-            "dispatch_overhead",
-            "dispatch_local_k2",
-            "shard_run_local_k2",
         ),
     ];
 
@@ -726,7 +692,7 @@ pub const GATED_SPEEDUP_PAIRS: [(&str, f64); 3] = [
 /// dominated by subprocess spawn latency, which varies across runners
 /// far more than the CPU-bound kernels the machine factor is anchored
 /// to. They exist to record the dispatcher's overhead, not to bound it.
-pub const UNGATED_BENCHES: [&str; 2] = ["shard_run_local_k2", "dispatch_local_k2"];
+pub const UNGATED_BENCHES: [&str; 1] = ["dispatch_local_k2"];
 
 /// What [`compare`] concluded.
 #[derive(Debug, Clone, PartialEq)]

@@ -19,6 +19,13 @@
 //! byte-identical output and the final merge is bitwise identical to a
 //! single-process sweep no matter how many attempts it took — and the
 //! per-shard partial cache makes reruns cheap.
+//!
+//! The loop never sleeps a fixed tick. It blocks on a wake channel that
+//! every [`SpawnRequest`] carries and subprocess handles signal when
+//! their worker exits, with a timeout of one heartbeat period (or less,
+//! when a backed-off shard becomes eligible for a free slot sooner). So
+//! an exit is noticed at once, and heartbeats, silence deadlines and
+//! handles that never signal are still checked once per beat.
 
 use crate::backoff::BackoffPolicy;
 use crate::hosts::HostPool;
@@ -26,11 +33,12 @@ use crate::transport::{SpawnRequest, Transport, WorkerStatus};
 use crate::DispatchError;
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 use wcs_runtime::AnyWorkload;
 use wcs_shard::{
-    fold_worker_runlog, heartbeat_path, manifest_path, merge_dir, partial_path, worker_runlog_path,
-    MergeOutcome, ShardStrategy, WorkerInvocation,
+    heartbeat_path, manifest_path, merge_dir, partial_path, worker_runlog_path, MergeOutcome,
+    ShardStrategy, WorkerInvocation,
 };
 use wcs_telemetry::metrics::{gauge_add, record_ns, GaugeId, HistId};
 use wcs_telemetry::Value;
@@ -47,10 +55,9 @@ pub struct DispatchOptions {
     /// A running worker whose heartbeat file has not advanced for this
     /// long is declared dead and requeued.
     pub heartbeat_timeout: Duration,
-    /// Beat period handed to workers (`--heartbeat-ms`).
+    /// Beat period handed to workers (`--heartbeat-ms`); also the
+    /// longest the dispatcher waits between checks of its fleet.
     pub heartbeat_ms: u64,
-    /// Dispatcher poll loop period.
-    pub poll_interval: Duration,
     /// Spawn-failure retry delays.
     pub backoff: BackoffPolicy,
     /// Forward `--strict-cache` to workers.
@@ -67,7 +74,6 @@ impl Default for DispatchOptions {
             max_retries: 2,
             heartbeat_timeout: Duration::from_secs(10),
             heartbeat_ms: crate::heartbeat::DEFAULT_INTERVAL_MS,
-            poll_interval: Duration::from_millis(10),
             backoff: BackoffPolicy::default(),
             strict_cache: false,
             worker_telemetry: false,
@@ -192,6 +198,8 @@ impl<'a> Dispatcher<'a> {
         let mut running: Vec<Running> = Vec::new();
         let mut stats = DispatchStats::default();
         let mut delivered = 0usize;
+        let (wake, woken) = mpsc::channel::<()>();
+        let beat = Duration::from_millis(self.options.heartbeat_ms.max(1));
 
         while delivered < k {
             let now = Instant::now();
@@ -225,19 +233,19 @@ impl<'a> Dispatcher<'a> {
                         heartbeat: Some(hb_path.clone()),
                         heartbeat_ms: self.options.heartbeat_ms,
                     },
+                    wake: wake.clone(),
                 };
                 match self.transport.spawn(host, &req) {
                     Ok(handle) => {
                         stats.assignments += 1;
                         gauge_add(GaugeId::DispatchWorkersLive, 1);
-                        wcs_telemetry::value(
-                            "dispatch.assign",
-                            vec![
-                                ("shard".to_string(), Value::U64(p.shard as u64)),
-                                ("host".to_string(), Value::Str(host.label.clone())),
-                                ("attempt".to_string(), Value::U64(p.attempt as u64)),
-                            ],
-                        );
+                        let fields = vec![
+                            ("shard".to_string(), Value::U64(p.shard as u64)),
+                            ("host".to_string(), Value::Str(host.label.clone())),
+                            ("attempt".to_string(), Value::U64(p.attempt as u64)),
+                        ];
+                        wcs_telemetry::value("shard.spawned", fields.clone());
+                        wcs_telemetry::value("dispatch.assign", fields);
                         running.push(Running {
                             shard: p.shard,
                             attempt: p.attempt,
@@ -316,12 +324,21 @@ impl<'a> Dispatcher<'a> {
                             continue;
                         }
                     }
-                    WorkerStatus::Exited { success, detail } => {
+                    WorkerStatus::Exited { code, detail } => {
                         let dur_ns = w.spawned.elapsed().as_nanos() as u64;
                         record_ns(HistId::DispatchShard, dur_ns);
+                        record_ns(HistId::ShardWorker, dur_ns);
+                        wcs_telemetry::value(
+                            "shard.worker_exit",
+                            vec![
+                                ("shard".to_string(), Value::U64(w.shard as u64)),
+                                ("code".to_string(), Value::from(code.unwrap_or(-1) as i64)),
+                                ("dur_ns".to_string(), Value::U64(dur_ns)),
+                            ],
+                        );
                         let host = &self.pool.hosts[slot_host[w.slot]];
                         let partial = partial_path(dir, w.shard);
-                        let verdict = if success {
+                        let verdict = if code == Some(0) {
                             // Pull artifacts back before judging: on a
                             // fetch-ful host the partial only exists
                             // here after the fetch.
@@ -404,7 +421,16 @@ impl<'a> Dispatcher<'a> {
             }
 
             if delivered < k {
-                std::thread::sleep(self.options.poll_interval);
+                // Sleep until a worker exits, the next fleet check is
+                // due, or a backed-off shard can take a free slot.
+                let mut timeout = beat;
+                if !free.is_empty() {
+                    if let Some(next) = pending.iter().map(|p| p.eligible).min() {
+                        timeout = timeout.min(next.saturating_duration_since(Instant::now()));
+                    }
+                }
+                let _ = woken.recv_timeout(timeout);
+                while woken.try_recv().is_ok() {}
             }
         }
 
@@ -442,5 +468,24 @@ impl<'a> Dispatcher<'a> {
             attempts,
             last,
         }
+    }
+}
+
+/// Re-emit one worker's run-log events through this process's collector,
+/// each tagged with a `shard` field. The worker's `runlog.start` header
+/// is skipped (this process's log already has one); its timestamps use
+/// the worker's own epoch, so durations remain valid but absolute stamps
+/// are only ordered within one shard. An unreadable or absent worker
+/// log is silently skipped — telemetry never fails a run.
+fn fold_worker_runlog(dir: &Path, shard: usize) {
+    let path = worker_runlog_path(dir, shard);
+    let Ok(log) = wcs_telemetry::jsonl::read_runlog(&path) else {
+        return;
+    };
+    for mut event in log.events {
+        event
+            .fields
+            .push(("shard".to_string(), Value::U64(shard as u64)));
+        wcs_telemetry::emit_event(&event);
     }
 }

@@ -69,6 +69,11 @@ impl FaultyTransport {
 /// A `(shard, attempt)` key paired with the fault injected there.
 pub type FaultEntry = ((usize, usize), Fault);
 
+/// Largest `N` a `spawn-fail:SHARDxN` spec accepts. The spec expands to
+/// one entry per attempt, so an unbounded count is an unbounded
+/// allocation; no retry budget anyone runs comes near this.
+pub const MAX_SPAWN_FAILS: usize = 1000;
+
 /// Parse one CLI fault spec into `(shard, attempt) → fault` entries:
 ///
 /// * `kill:SHARD@BEATS` — kill SHARD's first attempt at heartbeat BEATS
@@ -93,7 +98,7 @@ pub fn parse_spec(spec: &str) -> Result<Vec<FaultEntry>, String> {
                 None => (rest, 1usize),
             };
             let shard: usize = shard.parse().map_err(|_| bad())?;
-            if times == 0 {
+            if times == 0 || times > MAX_SPAWN_FAILS {
                 return Err(bad());
             }
             Ok((1..=times)
@@ -176,7 +181,7 @@ impl WorkerHandle for KillingHandle {
             WorkerStatus::Exited { .. } => {
                 let _ = std::fs::remove_file(&self.partial);
                 WorkerStatus::Exited {
-                    success: false,
+                    code: None,
                     detail: if self.fired {
                         format!("killed by fault injection at beat {}", self.beats)
                     } else {
@@ -229,6 +234,9 @@ mod tests {
             "kill:1",
             "kill:x@2",
             "spawn-fail:1x0",
+            "spawn-fail:1x1001",
+            // Once an unbounded allocation: one entry per attempt.
+            "spawn-fail:0x18446744073709551615",
             "boom:1",
             "mute:x",
         ] {

@@ -14,8 +14,7 @@
 //! or missing files by reporting "no beat yet".
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
 /// Default worker beat period in milliseconds.
@@ -23,40 +22,31 @@ pub const DEFAULT_INTERVAL_MS: u64 = 250;
 
 /// RAII heartbeat thread: writes sequence `0` immediately (so even a
 /// near-instant worker registers as alive once), then bumps the file
-/// every `interval` until dropped.
+/// every `interval` until dropped. The thread waits on a channel whose
+/// sender `drop` releases, so dropping returns at once rather than after
+/// the rest of an interval.
 pub struct HeartbeatWriter {
-    stop: Arc<AtomicBool>,
+    stop: Option<mpsc::Sender<()>>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl HeartbeatWriter {
     /// Start beating `path` every `interval`.
     pub fn start(path: PathBuf, interval: Duration) -> HeartbeatWriter {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = stop.clone();
+        let (stop, stopped) = mpsc::channel::<()>();
         // Beat 0 lands before the worker's real work starts, from this
         // thread, so callers never observe a spawned-but-beatless gap
         // longer than the spawn itself.
         write_beat(&path, 0);
         let thread = std::thread::spawn(move || {
             let mut seq = 0u64;
-            // Sleep in small steps so drop() never waits a full interval.
-            let step = interval
-                .min(Duration::from_millis(25))
-                .max(Duration::from_millis(1));
-            let mut slept = Duration::ZERO;
-            while !stop2.load(Ordering::Relaxed) {
-                std::thread::sleep(step);
-                slept += step;
-                if slept >= interval {
-                    slept = Duration::ZERO;
-                    seq += 1;
-                    write_beat(&path, seq);
-                }
+            while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
+                seq += 1;
+                write_beat(&path, seq);
             }
         });
         HeartbeatWriter {
-            stop,
+            stop: Some(stop),
             thread: Some(thread),
         }
     }
@@ -64,7 +54,7 @@ impl HeartbeatWriter {
 
 impl Drop for HeartbeatWriter {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        drop(self.stop.take());
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -106,6 +96,20 @@ mod tests {
             read_beat(&path),
             Some(after_drop),
             "beats must stop on drop"
+        );
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn drop_returns_well_inside_the_interval() {
+        let path = std::env::temp_dir().join(format!("wcs-hb-drop-{}", std::process::id()));
+        let hb = HeartbeatWriter::start(path.clone(), Duration::from_secs(1));
+        let t0 = std::time::Instant::now();
+        drop(hb);
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_millis(100),
+            "dropping a 1 s writer took {took:?}"
         );
         let _ = std::fs::remove_file(&path);
     }

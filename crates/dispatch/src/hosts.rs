@@ -25,6 +25,11 @@
 use crate::DispatchError;
 use std::path::{Path, PathBuf};
 
+/// Most `slots=` one hosts-file line may claim. The dispatcher lays out
+/// one table entry per slot, so an unbounded count is an unbounded
+/// allocation (and their sum could overflow).
+const MAX_SLOTS: usize = 4096;
+
 /// How workers are launched on one host.
 #[derive(Debug, Clone, PartialEq)]
 pub enum HostKind {
@@ -91,9 +96,15 @@ impl HostPool {
             let mut rest: Vec<String> = Vec::new();
             for tok in &tokens[1..] {
                 if let Some(v) = tok.strip_prefix("slots=") {
-                    slots = v.parse().ok().filter(|s| *s >= 1).ok_or_else(|| {
-                        bad(format!("slots= needs a positive integer, got '{v}'"))
-                    })?;
+                    slots = v
+                        .parse()
+                        .ok()
+                        .filter(|s| (1..=MAX_SLOTS).contains(s))
+                        .ok_or_else(|| {
+                            bad(format!(
+                                "slots= needs an integer in 1..={MAX_SLOTS}, got '{v}'"
+                            ))
+                        })?;
                 } else if let Some(v) = tok.strip_prefix("exe=") {
                     exe = Some(PathBuf::from(v));
                 } else if let Some(v) = tok.strip_prefix("fetch=") {
@@ -247,6 +258,10 @@ mod tests {
             ("local\nbogus host\n", 2),
             ("exec\n", 1),
             ("local slots=0\n", 1),
+            ("local slots=4097\n", 1),
+            // Once accepted, then overflowed `total_slots` (and asked the
+            // dispatcher for a slot table that size).
+            ("local slots=18446744073709551615\n", 1),
             ("local extra\n", 1),
             ("exec fetch=\"\" ssh h\n", 1),
             ("exec ssh \"h\n", 1),

@@ -1,26 +1,30 @@
-//! # wcs-dispatch — multi-host shard dispatching with heartbeats and requeue
+//! # wcs-dispatch — shard dispatching with heartbeats and requeue
 //!
 //! `wcs-shard` slices a workload into K byte-identical shards and knows
-//! how to merge the partials back; its local driver, though, spawns all
-//! K workers at once on one machine and gives up on the first failure.
-//! This crate is the production half the ROADMAP promised: a
-//! [`Dispatcher`] state machine that deals shards to a pool of host
-//! *slots* ([`HostPool`]), launches each `repro shard worker` through an
-//! object-safe [`Transport`] (subprocess via [`LocalExec`], ssh or any
-//! exec wrapper via [`SshExec`]), watches per-worker **heartbeat files**
+//! how to merge the partials back; this crate runs them. A
+//! [`Dispatcher`] state machine deals shards to a pool of host *slots*
+//! ([`HostPool`]), launches each `repro shard worker` through an
+//! object-safe [`Transport`] ([`SshExec`]: a plain subprocess for
+//! `local` hosts, ssh or any exec wrapper for `exec` hosts), wakes as
+//! soon as a worker exits, watches per-worker **heartbeat files**
 //! ([`heartbeat`]), declares silent workers dead on a timeout, requeues
 //! their shards onto live slots, and retries transient spawn failures
 //! with capped exponential backoff + deterministic jitter
-//! ([`BackoffPolicy`]).
+//! ([`BackoffPolicy`]). It is the only subprocess driver: `repro shard
+//! run` is a dispatch onto [`HostPool::local`]`(k)`.
 //!
 //! The invariant everything here leans on is inherited from the shard
 //! layer: shard partials are pure functions of the manifest, so a
 //! re-run attempt writes byte-identical partials and the final
 //! [`merge`](wcs_shard::merge_dir) is **bitwise identical to a
 //! single-process run no matter how many workers died mid-flight** —
-//! and the PR-4 per-shard partial cache makes a requeue cheap, because
-//! any work the dead worker managed to store is served back instead of
-//! recomputed.
+//! and the per-shard partial cache makes a requeue cheap, because any
+//! work the dead worker managed to store is served back instead of
+//! recomputed. `tests/dispatch_faults.rs` states the delivery
+//! guarantees as properties over random fault plans: validity (the
+//! merge equals the serial run), no duplication (every plan row is
+//! delivered exactly once) and integrity (a partial from outside the
+//! plan is rejected).
 //!
 //! Fault injection is first-class: [`FaultyTransport`] wraps any
 //! transport and kills workers after N heartbeats, fails spawns, or
@@ -43,7 +47,7 @@ pub use dispatcher::{DispatchOptions, DispatchOutcome, DispatchStats, Dispatcher
 pub use fault::{Fault, FaultyTransport};
 pub use heartbeat::HeartbeatWriter;
 pub use hosts::{Host, HostKind, HostPool};
-pub use transport::{LocalExec, SpawnRequest, SshExec, Transport, WorkerHandle, WorkerStatus};
+pub use transport::{SpawnRequest, SshExec, Transport, WorkerHandle, WorkerStatus};
 
 use wcs_shard::ShardError;
 

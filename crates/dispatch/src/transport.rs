@@ -1,5 +1,5 @@
 //! How workers are launched: the object-safe [`Transport`] trait and
-//! its two production implementations.
+//! its production implementation, [`SshExec`].
 //!
 //! A transport knows three things: how to **spawn** a
 //! `repro shard worker` described by a [`SpawnRequest`] on a given
@@ -16,10 +16,12 @@ use crate::hosts::{Host, HostKind};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Arc};
 use wcs_shard::WorkerInvocation;
 
 /// One worker launch the dispatcher wants: which shard, which attempt
-/// (1-based), and the fully rendered invocation.
+/// (1-based), the fully rendered invocation, and where to say "exited".
 #[derive(Debug, Clone)]
 pub struct SpawnRequest {
     /// Shard index within the plan.
@@ -28,6 +30,10 @@ pub struct SpawnRequest {
     pub attempt: usize,
     /// The worker command to render behind the transport.
     pub invocation: WorkerInvocation,
+    /// Signalled once when the worker exits, so the dispatcher wakes
+    /// without polling. Handles that cannot tell may ignore it; the
+    /// dispatcher still polls them at its heartbeat period.
+    pub wake: mpsc::Sender<()>,
 }
 
 /// The observable state of a launched worker.
@@ -35,23 +41,25 @@ pub struct SpawnRequest {
 pub enum WorkerStatus {
     /// Still running (or status unknowable without blocking).
     Running,
-    /// Exited; `success` is the exit-status verdict and `detail` is a
+    /// Exited; `code` is the exit code (`Some(0)` is the only success;
+    /// `None` means killed by a signal or unobservable) and `detail` is a
     /// human-readable rendering of how it ended.
     Exited {
-        /// Whether the worker exited zero.
-        success: bool,
+        /// The worker's exit code, if it had one.
+        code: Option<i32>,
         /// Rendered exit status (or the I/O error that hid it).
         detail: String,
     },
 }
 
 /// A launched worker the dispatcher can poll and kill. Implementations
-/// must make both operations non-blocking and idempotent.
+/// must never block on a worker that is still running, and both
+/// operations must be idempotent.
 pub trait WorkerHandle: Send {
     /// Current status without blocking. I/O errors while checking fold
-    /// into `Exited { success: false, .. }` — from the dispatcher's
-    /// seat, "can't observe the worker" and "worker died" demand the
-    /// same response: requeue.
+    /// into `Exited { code: None, .. }` — from the dispatcher's seat,
+    /// "can't observe the worker" and "worker died" demand the same
+    /// response: requeue.
     fn poll(&mut self) -> WorkerStatus;
     /// Terminate the worker and reap it. Must be safe to call after
     /// exit.
@@ -60,7 +68,7 @@ pub trait WorkerHandle: Send {
 
 /// Launch mechanism abstraction: spawn on a host, fetch artifacts back.
 pub trait Transport: Send + Sync {
-    /// Short name for telemetry (`"local"`, `"exec"`, ...).
+    /// Short name for telemetry (`"exec"`, `"faulty"`, ...).
     fn label(&self) -> &'static str;
     /// Launch `req` on `host`.
     fn spawn(&self, host: &Host, req: &SpawnRequest) -> io::Result<Box<dyn WorkerHandle>>;
@@ -71,28 +79,67 @@ pub trait Transport: Send + Sync {
     }
 }
 
-/// [`WorkerHandle`] over a plain [`Child`].
+/// [`WorkerHandle`] over a subprocess whose stdout is piped to a drain
+/// thread. The worker writes its partial to disk, not stdout, so the
+/// pipe closes only when the process (or its exec wrapper) exits; the
+/// drain thread then sets `stdout_closed` (a `Release` store, paired with
+/// the `Acquire` load in `poll`) and sends on the request's wake channel.
 pub struct ChildHandle {
     child: Child,
+    stdout_closed: Arc<AtomicBool>,
+    drain: Option<std::thread::JoinHandle<()>>,
 }
 
 impl ChildHandle {
-    /// Wrap an already spawned child.
-    pub fn new(child: Child) -> ChildHandle {
-        ChildHandle { child }
+    /// Spawn `cmd` with stdout piped and start its drain thread.
+    pub fn spawn(mut cmd: Command, wake: mpsc::Sender<()>) -> io::Result<ChildHandle> {
+        let mut child = cmd.stdout(Stdio::piped()).spawn()?;
+        let mut stdout = child.stdout.take().expect("stdout is piped");
+        let stdout_closed = Arc::new(AtomicBool::new(false));
+        let closed = stdout_closed.clone();
+        let drain = std::thread::Builder::new()
+            .name("worker-stdout".to_string())
+            .spawn(move || {
+                let _ = io::copy(&mut stdout, &mut io::sink());
+                closed.store(true, Ordering::Release);
+                let _ = wake.send(());
+            });
+        match drain {
+            Ok(drain) => Ok(ChildHandle {
+                child,
+                stdout_closed,
+                drain: Some(drain),
+            }),
+            Err(e) => {
+                let _ = child.kill();
+                let _ = child.wait();
+                Err(e)
+            }
+        }
     }
 }
 
 impl WorkerHandle for ChildHandle {
     fn poll(&mut self) -> WorkerStatus {
-        match self.child.try_wait() {
+        // A closed stdout means the process is exiting: reap it (and the
+        // finished drain thread) rather than race its last microseconds
+        // and wait out a poll period.
+        let status = if self.stdout_closed.load(Ordering::Acquire) {
+            if let Some(drain) = self.drain.take() {
+                let _ = drain.join();
+            }
+            self.child.wait().map(Some)
+        } else {
+            self.child.try_wait()
+        };
+        match status {
             Ok(None) => WorkerStatus::Running,
             Ok(Some(status)) => WorkerStatus::Exited {
-                success: status.success(),
+                code: status.code(),
                 detail: status.to_string(),
             },
             Err(e) => WorkerStatus::Exited {
-                success: false,
+                code: None,
                 detail: format!("wait failed: {e}"),
             },
         }
@@ -104,38 +151,12 @@ impl WorkerHandle for ChildHandle {
     }
 }
 
-/// Subprocess transport: every host runs workers as children of this
-/// process, regardless of its [`HostKind`]. This is the driver behind
-/// pure-local dispatch and the bench harness.
-pub struct LocalExec {
-    /// The `repro` binary to spawn.
-    pub exe: PathBuf,
-}
-
-impl LocalExec {
-    /// Spawn workers with `exe`.
-    pub fn new(exe: impl Into<PathBuf>) -> LocalExec {
-        LocalExec { exe: exe.into() }
-    }
-}
-
-impl Transport for LocalExec {
-    fn label(&self) -> &'static str {
-        "local"
-    }
-
-    fn spawn(&self, _host: &Host, req: &SpawnRequest) -> io::Result<Box<dyn WorkerHandle>> {
-        let child = req.invocation.command(&self.exe).spawn()?;
-        Ok(Box::new(ChildHandle::new(child)))
-    }
-}
-
 /// Command-template transport: [`HostKind::Local`] hosts get plain
-/// subprocesses; [`HostKind::Exec`] hosts get the worker argv appended
-/// to the host's wrapper prefix — `ssh user@hostA /path/to/repro shard
-/// worker ...`, or any other exec wrapper. Despite the name, nothing
-/// here is ssh-specific; ssh is just the wrapper the hosts-file format
-/// documents first.
+/// subprocesses of `exe`; [`HostKind::Exec`] hosts get the worker argv
+/// appended to the host's wrapper prefix — `ssh user@hostA
+/// /path/to/repro shard worker ...`, or any other exec wrapper. Despite
+/// the name, nothing here is ssh-specific; ssh is just the wrapper the
+/// hosts-file format documents first.
 pub struct SshExec {
     /// The `repro` binary for local hosts, and the default remote
     /// binary for exec hosts that don't set `exe=`.
@@ -155,19 +176,17 @@ impl Transport for SshExec {
     }
 
     fn spawn(&self, host: &Host, req: &SpawnRequest) -> io::Result<Box<dyn WorkerHandle>> {
-        let child = match &host.kind {
-            HostKind::Local => req.invocation.command(&self.exe).spawn()?,
+        let mut cmd = match &host.kind {
+            HostKind::Local => Command::new(&self.exe),
             HostKind::Exec { prefix, exe, .. } => {
-                let remote_exe = exe.as_deref().unwrap_or(&self.exe);
                 let mut cmd = Command::new(&prefix[0]);
                 cmd.args(&prefix[1..])
-                    .arg(remote_exe)
-                    .args(req.invocation.args())
-                    .stdout(Stdio::null());
-                cmd.spawn()?
+                    .arg(exe.as_deref().unwrap_or(&self.exe));
+                cmd
             }
         };
-        Ok(Box::new(ChildHandle::new(child)))
+        cmd.args(req.invocation.args());
+        Ok(Box::new(ChildHandle::spawn(cmd, req.wake.clone())?))
     }
 
     fn fetch(&self, host: &Host, path: &Path) -> io::Result<()> {
@@ -215,44 +234,42 @@ mod tests {
         }
     }
 
-    fn req() -> SpawnRequest {
+    fn req(wake: mpsc::Sender<()>) -> SpawnRequest {
         SpawnRequest {
             shard: 0,
             attempt: 1,
             invocation: WorkerInvocation::new("/nonexistent/manifest.toml"),
+            wake,
         }
     }
 
     #[test]
     fn exec_host_wraps_the_worker_command() {
         let t = SshExec::new("/nonexistent/repro");
-        let mut handle = t.spawn(&true_host(), &req()).unwrap();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        loop {
-            match handle.poll() {
-                WorkerStatus::Running => {
-                    assert!(std::time::Instant::now() < deadline, "true never exited");
-                    std::thread::sleep(std::time::Duration::from_millis(5));
-                }
-                WorkerStatus::Exited { success, .. } => {
-                    assert!(success, "`env true ...` should exit 0");
-                    break;
-                }
+        let (wake, woken) = mpsc::channel();
+        let mut handle = t.spawn(&true_host(), &req(wake)).unwrap();
+        woken
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("`env true ...` exited without a wake");
+        match handle.poll() {
+            WorkerStatus::Exited { code, .. } => {
+                assert_eq!(code, Some(0), "`env true ...` should exit 0")
             }
+            WorkerStatus::Running => panic!("woken but still running"),
         }
     }
 
     #[test]
     fn local_spawn_failure_is_an_io_error() {
-        let t = LocalExec::new("/nonexistent/repro");
+        let t = SshExec::new("/nonexistent/repro");
         let pool = HostPool::local(1);
-        assert!(t.spawn(&pool.hosts[0], &req()).is_err());
+        assert!(t.spawn(&pool.hosts[0], &req(mpsc::channel().0)).is_err());
     }
 
     #[test]
     fn kill_after_exit_is_safe() {
         let t = SshExec::new("/nonexistent/repro");
-        let mut handle = t.spawn(&true_host(), &req()).unwrap();
+        let mut handle = t.spawn(&true_host(), &req(mpsc::channel().0)).unwrap();
         while handle.poll() == WorkerStatus::Running {
             std::thread::sleep(std::time::Duration::from_millis(5));
         }

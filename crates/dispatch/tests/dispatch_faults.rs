@@ -4,12 +4,19 @@
 //! single-process run; and when a shard exhausts its retry budget the
 //! failure is the structured [`DispatchError::Exhausted`].
 //!
+//! The delivery guarantees are also stated as properties over random
+//! fault plans (in the manner of Bracha reliable broadcast, applied to
+//! shard rows): **validity** — the merged CSV equals the serial run;
+//! **no duplication** — every plan row is delivered exactly once; and
+//! **integrity** — the merge accepts only partials from the plan.
+//!
 //! Workers here are threads, not subprocesses (a `ThreadExec`
 //! transport running `wcs_shard::partial::run_worker` directly), so the
 //! tests stay fast and free of binary-path plumbing; the CLI-level
 //! subprocess path is covered by `crates/bench/tests/dispatch_cli.rs`
 //! and the CI `dispatch-smoke` job.
 
+use proptest::prelude::*;
 use std::io;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -18,7 +25,7 @@ use wcs_dispatch::{
     HeartbeatWriter, Host, HostPool, SpawnRequest, Transport, WorkerHandle, WorkerStatus,
 };
 use wcs_runtime::{AnyWorkload, Engine, Sweep};
-use wcs_shard::{ShardManifest, ShardStrategy};
+use wcs_shard::{merge_dir, partial_path, PartialReport, ShardManifest, ShardPlan, ShardStrategy};
 
 fn sweep() -> Sweep {
     Sweep::new("dispatch-it")
@@ -43,7 +50,6 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
 fn fast_options() -> DispatchOptions {
     DispatchOptions {
         threads_per_worker: 1,
-        poll_interval: Duration::from_millis(2),
         heartbeat_ms: 5,
         backoff: BackoffPolicy {
             base: Duration::from_millis(1),
@@ -106,15 +112,15 @@ impl WorkerHandle for ThreadHandle {
         }
         let st = match self.join.take().expect("not yet joined").join() {
             Ok(Ok(())) => WorkerStatus::Exited {
-                success: true,
+                code: Some(0),
                 detail: "ok".to_string(),
             },
             Ok(Err(e)) => WorkerStatus::Exited {
-                success: false,
+                code: Some(1),
                 detail: e,
             },
             Err(_) => WorkerStatus::Exited {
-                success: false,
+                code: None,
                 detail: "worker thread panicked".to_string(),
             },
         };
@@ -128,7 +134,7 @@ impl WorkerHandle for ThreadHandle {
         if let Some(j) = self.join.take() {
             let _ = j.join();
             self.result = Some(WorkerStatus::Exited {
-                success: false,
+                code: None,
                 detail: "killed".to_string(),
             });
         }
@@ -248,7 +254,7 @@ impl WorkerHandle for HungHandle {
     fn poll(&mut self) -> WorkerStatus {
         if self.killed {
             WorkerStatus::Exited {
-                success: false,
+                code: None,
                 detail: "killed while hung".to_string(),
             }
         } else {
@@ -282,4 +288,96 @@ fn heartbeat_silence_declares_the_worker_dead_and_requeues() {
     assert_eq!(outcome.stats.deaths, 1);
     assert_eq!(outcome.stats.requeues, 1);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A random fault plan for `k` shards: each shard draws nothing, a kill
+/// at beat 0..3, one or two spawn failures (fewer than the three
+/// attempts `max_retries = 2` allows), or a muted heartbeat — written as
+/// the `--fault` specs the CLI takes.
+fn random_fault_specs(rng: &mut TestRng, k: usize) -> Vec<String> {
+    (0..k)
+        .filter_map(|shard| match rng.next_u64() % 4 {
+            0 => None,
+            1 => Some(format!("kill:{shard}@{}", rng.next_u64() % 3)),
+            2 => Some(format!("spawn-fail:{shard}x{}", 1 + rng.next_u64() % 2)),
+            _ => Some(format!("mute:{shard}")),
+        })
+        .collect()
+}
+
+/// A partial that is not shard `shard` of the `k`-shard contiguous plan
+/// of [`sweep`]: the same shard of another seed, another sweep, another
+/// shard count, or the other strategy.
+fn foreign_partial(rng: &mut TestRng, k: usize, shard: usize) -> PartialReport {
+    let ours = sweep();
+    let (workload, k, strategy) = match rng.next_u64() % 4 {
+        0 => {
+            let seed = ours.seed + 1;
+            (ours.seed(seed), k, ShardStrategy::Contiguous)
+        }
+        1 => (ours.samples(61), k, ShardStrategy::Contiguous),
+        2 => (ours, k + 1, ShardStrategy::Contiguous),
+        _ => (ours, k, ShardStrategy::Strided),
+    };
+    let plan = ShardPlan::new(workload.task_count(), k, strategy).unwrap();
+    wcs_shard::partial::run_worker(
+        &ShardManifest::new(workload, &plan, shard),
+        &Engine::serial(),
+        None,
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Validity, no duplication and integrity of the merge, whatever
+    /// the fault plan.
+    #[test]
+    fn merge_guarantees_hold_under_random_fault_plans(k in 1usize..5, seed in 0u64..u64::MAX) {
+        let mut rng = TestRng::new(seed);
+        let specs = random_fault_specs(&mut rng, k);
+        let mut transport = FaultyTransport::new(Box::new(ThreadExec));
+        for spec in &specs {
+            transport.add_spec(spec).unwrap();
+        }
+        let dir = tmpdir(&format!("prop-{seed:016x}"));
+        let pool = HostPool::local(k);
+        let outcome = Dispatcher::new(&transport, &pool, fast_options())
+            .run(&dir, sweep(), k, ShardStrategy::Contiguous, None)
+            .unwrap_or_else(|e| panic!("k={k} faults={specs:?}: {e}"));
+
+        // Validity: the merge is the serial run.
+        prop_assert_eq!(outcome.merge.report.to_csv(), serial_csv(), "k={} faults={:?}", k, specs);
+
+        // No duplication: each shard was delivered by exactly one
+        // attempt, and the delivered partials tile the plan's task
+        // index space with every task's rows exactly once.
+        prop_assert_eq!(outcome.stats.assignments, k as u64 + outcome.stats.deaths);
+        prop_assert_eq!(outcome.merge.shards, k);
+        let mut delivered: Vec<usize> = Vec::new();
+        for shard in 0..k {
+            let part = PartialReport::load(&partial_path(&dir, shard)).unwrap();
+            let manifest = ShardManifest::load(&wcs_shard::manifest_path(&dir, shard)).unwrap();
+            let rows_per_task = manifest.kind().rows_per_task();
+            prop_assert_eq!((part.shard, part.k), (shard, k));
+            prop_assert_eq!(part.report.rows.len(), manifest.indices().len() * rows_per_task);
+            delivered.extend(manifest.indices());
+        }
+        delivered.sort_unstable();
+        prop_assert_eq!(delivered, (0..sweep().task_count()).collect::<Vec<_>>());
+
+        // Integrity: swap one shard's partial for one from outside the
+        // plan, and the merge must refuse the set.
+        let victim = (rng.next_u64() % k as u64) as usize;
+        foreign_partial(&mut rng, k, victim)
+            .save(&partial_path(&dir, victim))
+            .unwrap();
+        prop_assert!(
+            merge_dir(&dir, None).is_err(),
+            "k={} shard {}: a foreign partial was merged",
+            k,
+            victim
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

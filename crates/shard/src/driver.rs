@@ -1,28 +1,26 @@
-//! Planning directories and the local subprocess driver.
+//! Plan directories: file layout, worker invocations, and planning.
 //!
 //! File layout of a plan directory (one per sweep × K):
 //!
 //! ```text
 //! <dir>/shard-0000.manifest.toml   written by `shard plan`
 //! <dir>/shard-0000.partial.csv     written by `shard worker`
+//! <dir>/shard-0000.hb              heartbeat, touched by the worker
+//! <dir>/shard-0000.runlog.jsonl    worker run log, when asked for
 //! <dir>/shard-0001.manifest.toml   ...
 //! ```
 //!
-//! [`run_local`] is the zero-infrastructure path: it spawns the K
-//! workers as subprocesses of the `repro` binary on this machine and
-//! merges when they all exit — the same plan → worker → merge pipeline a
-//! multi-host run executes, so CI and laptops exercise the real seams.
-//! For multi-host runs, ship each manifest to a host, run
-//! `repro shard worker` there, gather the partials into one directory
-//! and `repro shard merge` it.
+//! This crate does not launch workers itself. `wcs-dispatch` does, for
+//! `repro shard run` (K local subprocess slots) and `repro dispatch run`
+//! (any host pool) alike, rendering each worker from a
+//! [`WorkerInvocation`]. For a run by hand, ship each manifest to a
+//! host, run `repro shard worker` there, gather the partials into one
+//! directory and `repro shard merge` it.
 
 use crate::manifest::ShardManifest;
-use crate::merge::{merge_dir, MergeOutcome};
 use crate::plan::{ShardPlan, ShardStrategy};
 use crate::ShardError;
 use std::path::{Path, PathBuf};
-use std::process::Command;
-use std::time::Instant;
 use wcs_runtime::{AnyWorkload, WorkloadSpec};
 
 /// Manifest file path for shard `shard` under `dir`.
@@ -37,11 +35,11 @@ pub fn heartbeat_path(dir: &Path, shard: usize) -> PathBuf {
 }
 
 /// One fully specified `repro shard worker` invocation, independent of
-/// *how* it is launched. The local driver turns it into a subprocess
-/// directly; the `wcs-dispatch` transports render the same argument
-/// vector behind ssh or any exec wrapper — which is why everything
-/// (cache directory included) is carried as explicit arguments rather
-/// than environment variables that would not survive a remote shell.
+/// *how* it is launched. The `wcs-dispatch` transport renders the
+/// argument vector as a local subprocess or behind ssh or any exec
+/// wrapper — which is why everything (cache directory included) is
+/// carried as explicit arguments rather than environment variables that
+/// would not survive a remote shell.
 #[derive(Debug, Clone)]
 pub struct WorkerInvocation {
     /// The shard manifest the worker loads.
@@ -109,15 +107,6 @@ impl WorkerInvocation {
         }
         args
     }
-
-    /// A ready-to-spawn [`Command`] for this invocation: `exe` plus
-    /// [`WorkerInvocation::args`], stdout discarded (the partial goes to
-    /// disk; stderr is inherited so progress lines surface).
-    pub fn command(&self, exe: &Path) -> Command {
-        let mut cmd = Command::new(exe);
-        cmd.args(self.args()).stdout(std::process::Stdio::null());
-        cmd
-    }
 }
 
 /// Partial-report file path for shard `shard` under `dir`.
@@ -125,8 +114,8 @@ pub fn partial_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard:04}.partial.csv"))
 }
 
-/// Run-log file path the driver hands shard `shard`'s worker when
-/// [`RunLocalOptions::worker_telemetry`] is on.
+/// Run-log file path a dispatcher hands shard `shard`'s worker when it
+/// folds worker telemetry into its own run log.
 pub fn worker_runlog_path(dir: &Path, shard: usize) -> PathBuf {
     dir.join(format!("shard-{shard:04}.runlog.jsonl"))
 }
@@ -199,185 +188,6 @@ pub fn write_plan(
         paths.push(path);
     }
     Ok(paths)
-}
-
-/// Knobs of [`run_local_with`] beyond the plan itself.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct RunLocalOptions {
-    /// Forward `--strict-cache` to every worker, so a worker whose cache
-    /// stores fail exits non-zero instead of silently degrading.
-    pub strict_cache: bool,
-    /// Hand each worker its own run log (`shard-NNNN.runlog.jsonl` in
-    /// the plan directory) and, after it exits, fold its events into
-    /// this process's collector with a `shard` field added — so one
-    /// `RUNLOG.jsonl` carries the whole fleet's engine/cache events.
-    /// No-op when no collector is installed here.
-    pub worker_telemetry: bool,
-}
-
-/// Run the whole plan → worker → merge pipeline locally: write the plan
-/// under `dir`, spawn one `repro shard worker` subprocess per shard
-/// (`repro_exe` is the binary to spawn — callers pass
-/// `std::env::current_exe()`), wait for all of them, and merge.
-///
-/// `threads_per_worker` is forwarded as each worker's `--threads` (0 =
-/// auto). With `cache = Some(c)`, workers share `c`'s directory (passed
-/// as an explicit `--cache-dir` argument, so the invocation survives any
-/// exec wrapper) and the merge stores the reassembled full report
-/// there; with `None`, workers get `--no-cache` and nothing is stored.
-/// Workers inherit stderr so their progress lines surface.
-pub fn run_local(
-    dir: &Path,
-    workload: impl Into<AnyWorkload>,
-    k: usize,
-    strategy: ShardStrategy,
-    repro_exe: &Path,
-    threads_per_worker: usize,
-    cache: Option<&wcs_runtime::ResultCache>,
-) -> Result<MergeOutcome, ShardError> {
-    run_local_with(
-        dir,
-        workload,
-        k,
-        strategy,
-        repro_exe,
-        threads_per_worker,
-        cache,
-        RunLocalOptions::default(),
-    )
-}
-
-/// [`run_local`] with explicit [`RunLocalOptions`].
-#[allow(clippy::too_many_arguments)] // mirrors run_local's established signature
-pub fn run_local_with(
-    dir: &Path,
-    workload: impl Into<AnyWorkload>,
-    k: usize,
-    strategy: ShardStrategy,
-    repro_exe: &Path,
-    threads_per_worker: usize,
-    cache: Option<&wcs_runtime::ResultCache>,
-    opts: RunLocalOptions,
-) -> Result<MergeOutcome, ShardError> {
-    let manifests = write_plan(dir, workload, k, strategy)?;
-    // Worker run logs only make sense if this process has somewhere to
-    // fold them; without a collector, don't ask workers to write any.
-    let worker_telemetry = opts.worker_telemetry && wcs_telemetry::enabled();
-    // threads 0 (auto) would hand *each* of the K workers a full-core
-    // pool — K-fold oversubscription. Split the cores across workers
-    // instead; an explicit --threads value is forwarded untouched.
-    let threads_per_worker = if threads_per_worker == 0 {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        (cores / k).max(1)
-    } else {
-        threads_per_worker
-    };
-    let mut children = Vec::with_capacity(k);
-    for (shard, manifest) in manifests.iter().enumerate() {
-        let invocation = WorkerInvocation {
-            manifest: manifest.clone(),
-            threads: threads_per_worker,
-            cache_dir: cache.map(|c| c.dir().to_path_buf()),
-            strict_cache: opts.strict_cache,
-            telemetry: worker_telemetry.then(|| worker_runlog_path(dir, shard)),
-            heartbeat: None,
-            heartbeat_ms: 0,
-        };
-        match invocation.command(repro_exe).spawn() {
-            Ok(child) => {
-                wcs_telemetry::value(
-                    "shard.spawned",
-                    vec![
-                        ("shard".to_string(), wcs_telemetry::Value::U64(shard as u64)),
-                        (
-                            "pid".to_string(),
-                            wcs_telemetry::Value::U64(child.id() as u64),
-                        ),
-                    ],
-                );
-                children.push((shard, child, Instant::now()));
-            }
-            Err(e) => {
-                // Don't orphan the workers already launched: reap them
-                // before surfacing the spawn failure.
-                for (_, mut child, _) in children {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                }
-                return Err(ShardError::Spawn {
-                    shard,
-                    attempt: 1,
-                    message: e.to_string(),
-                });
-            }
-        }
-    }
-    // Wait for every worker before judging any: a partial failure should
-    // report *which* shard failed, not leave zombies behind.
-    let mut failures = Vec::new();
-    for (shard, mut child, spawned_at) in children {
-        let status = child.wait().map_err(|e| ShardError::WorkerIo {
-            shard,
-            attempt: 1,
-            message: e.to_string(),
-        })?;
-        let worker_wall_ns = spawned_at.elapsed().as_nanos() as u64;
-        wcs_telemetry::metrics::record_ns(
-            wcs_telemetry::metrics::HistId::ShardWorker,
-            worker_wall_ns,
-        );
-        wcs_telemetry::value(
-            "shard.worker_exit",
-            vec![
-                ("shard".to_string(), wcs_telemetry::Value::U64(shard as u64)),
-                (
-                    "code".to_string(),
-                    wcs_telemetry::Value::from(status.code().unwrap_or(-1) as i64),
-                ),
-                (
-                    "dur_ns".to_string(),
-                    wcs_telemetry::Value::U64(worker_wall_ns),
-                ),
-            ],
-        );
-        if worker_telemetry {
-            fold_worker_runlog(dir, shard);
-        }
-        if !status.success() {
-            failures.push((shard, status));
-        }
-    }
-    if let Some((shard, status)) = failures.into_iter().next() {
-        return Err(ShardError::WorkerFailed {
-            shard,
-            status: status.to_string(),
-        });
-    }
-    // The driver keeps a concrete &ResultCache (workers are handed its
-    // directory via --cache-dir); the merge only needs the index view.
-    merge_dir(dir, cache.map(|c| c as &dyn wcs_runtime::ResultIndex))
-}
-
-/// Re-emit one worker's run-log events through this process's collector,
-/// each tagged with a `shard` field. The worker's `runlog.start` header
-/// is skipped (this process's log already has one); its timestamps use
-/// the worker's own epoch, so durations remain valid but absolute stamps
-/// are only ordered within one shard. An unreadable or absent worker
-/// log is silently skipped — telemetry never fails a run. Public so the
-/// `wcs-dispatch` driver folds its fleet's run logs the same way.
-pub fn fold_worker_runlog(dir: &Path, shard: usize) {
-    let path = worker_runlog_path(dir, shard);
-    let Ok(log) = wcs_telemetry::jsonl::read_runlog(&path) else {
-        return;
-    };
-    for mut event in log.events {
-        event
-            .fields
-            .push(("shard".to_string(), wcs_telemetry::Value::U64(shard as u64)));
-        wcs_telemetry::emit_event(&event);
-    }
 }
 
 #[cfg(test)]

@@ -30,9 +30,10 @@
 //!   stores the reassembled full report in the shared
 //!   [`ResultCache`](wcs_runtime::ResultCache) under the same key a
 //!   single-process run would use, and
-//! * a local **driver** ([`driver`]): spawns the K workers as
-//!   subprocesses of the `repro` binary so one command exercises the
-//!   whole plan → worker → merge path on a laptop or in CI.
+//! * plan directories ([`driver`]): the file layout, the
+//!   [`WorkerInvocation`] a launcher renders, and [`write_plan`]. The
+//!   launcher is `wcs-dispatch`, which drives `repro shard run` and
+//!   `repro dispatch run` alike.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,8 +45,7 @@ pub mod partial;
 pub mod plan;
 
 pub use driver::{
-    fold_worker_runlog, heartbeat_path, manifest_path, partial_path, run_local, run_local_with,
-    worker_runlog_path, write_plan, RunLocalOptions, WorkerInvocation,
+    heartbeat_path, manifest_path, partial_path, worker_runlog_path, write_plan, WorkerInvocation,
 };
 pub use manifest::ShardManifest;
 pub use merge::{merge_dir, merge_partials, MergeOutcome};
@@ -54,13 +54,11 @@ pub use plan::{ShardPlan, ShardStrategy};
 
 /// Everything that can go wrong while planning, loading, or merging
 /// shards. Plan/merge filesystem failures are folded in as
-/// [`ShardError::Io`]; failures tied to a specific worker carry the
-/// shard id and attempt number ([`ShardError::Spawn`],
-/// [`ShardError::WorkerIo`], [`ShardError::WorkerFailed`]) so retry
-/// policies and exit codes never have to parse error text.
+/// [`ShardError::Io`]. Worker launch failures are not shard errors:
+/// `wcs-dispatch` retries them and reports a give-up of its own.
 #[derive(Debug)]
 pub enum ShardError {
-    /// Filesystem or subprocess failure.
+    /// Filesystem failure.
     Io(std::io::Error),
     /// A manifest / partial / spec file failed to parse.
     Parse {
@@ -106,34 +104,6 @@ pub enum ShardError {
     },
     /// A partial report's row count does not match its slice.
     BadShape(String),
-    /// A worker subprocess exited unsuccessfully.
-    WorkerFailed {
-        /// Which shard's worker failed.
-        shard: usize,
-        /// Its exit status, rendered.
-        status: String,
-    },
-    /// Spawning a worker failed at the OS level (missing binary, fork
-    /// limit, broken transport wrapper). Carries the shard and the
-    /// attempt number so retry policies and CLI exit paths can reason
-    /// about it without string-matching `io::Error` text.
-    Spawn {
-        /// Which shard's worker could not be spawned.
-        shard: usize,
-        /// 1-based attempt number that failed.
-        attempt: usize,
-        /// The underlying OS error, rendered.
-        message: String,
-    },
-    /// Reaping or polling a spawned worker failed at the OS level.
-    WorkerIo {
-        /// Which shard's worker the I/O failure belongs to.
-        shard: usize,
-        /// 1-based attempt number that failed.
-        attempt: usize,
-        /// The underlying OS error, rendered.
-        message: String,
-    },
 }
 
 impl std::fmt::Display for ShardError {
@@ -164,29 +134,6 @@ impl std::fmt::Display for ShardError {
                 write!(f, "gapped shard set: index {shard} of {k} is missing")
             }
             ShardError::BadShape(msg) => write!(f, "malformed partial: {msg}"),
-            ShardError::WorkerFailed { shard, status } => {
-                write!(f, "worker for shard {shard} failed: {status}")
-            }
-            ShardError::Spawn {
-                shard,
-                attempt,
-                message,
-            } => {
-                write!(
-                    f,
-                    "spawning worker for shard {shard} (attempt {attempt}) failed: {message}"
-                )
-            }
-            ShardError::WorkerIo {
-                shard,
-                attempt,
-                message,
-            } => {
-                write!(
-                    f,
-                    "i/o on worker for shard {shard} (attempt {attempt}) failed: {message}"
-                )
-            }
         }
     }
 }

@@ -166,7 +166,31 @@ pub fn merge_dir(dir: &Path, index: Option<&dyn ResultIndex>) -> Result<MergeOut
         }
         let ppath = driver::partial_path(dir, manifest.shard);
         let source = if ppath.exists() {
-            parts.push(PartialReport::load(&ppath)?);
+            let p = PartialReport::load(&ppath)?;
+            // The file must be this manifest's slice of this plan: a
+            // partial from another plan can agree with its neighbours
+            // (at k = 1 it has none) and still not be this shard.
+            if (p.shard, p.k, p.strategy, p.task_count)
+                != (
+                    manifest.shard,
+                    manifest.k,
+                    manifest.strategy,
+                    manifest.task_count,
+                )
+            {
+                return Err(ShardError::SpecMismatch(format!(
+                    "{} is shard {}/{} of a {} plan over {} tasks, not shard {}/{} of this {} plan",
+                    ppath.display(),
+                    p.shard,
+                    p.k,
+                    p.strategy.label(),
+                    p.task_count,
+                    manifest.shard,
+                    manifest.k,
+                    manifest.strategy.label()
+                )));
+            }
+            parts.push(p);
             "file"
         } else {
             // Lost worker / lost file: serve the cached partial blob if
